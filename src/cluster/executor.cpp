@@ -7,6 +7,24 @@
 
 namespace pran::cluster {
 
+namespace {
+
+void tally(Executor::Stats& st, const JobOutcome& o) noexcept {
+  if (o.dropped) {
+    ++st.dropped;
+    return;
+  }
+  if (o.compute_outage) {
+    ++st.compute_outages;
+    return;
+  }
+  ++st.completed;
+  if (o.missed_deadline()) ++st.missed;
+  st.total_busy_seconds += sim::to_seconds(o.finish - o.start) * o.cores_used;
+}
+
+}  // namespace
+
 const char* sched_policy_name(SchedPolicy p) noexcept {
   switch (p) {
     case SchedPolicy::kEdf:
@@ -25,7 +43,7 @@ Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
   for (auto& spec : specs) {
     PRAN_REQUIRE(spec.cores >= 1, "server needs at least one core");
     PRAN_REQUIRE(spec.gops_per_core > 0.0, "core capacity must be positive");
-    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}});
+    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, {}});
   }
 }
 
@@ -77,9 +95,7 @@ void Executor::submit(int server_id, const lte::SubframeJob& job) {
       outcome.job = job;
       outcome.server_id = server_id;
       outcome.dropped = true;
-      outcomes_.push_back(outcome);
-      if (on_drop_) on_drop_(job, server_id);
-      if (on_complete_) on_complete_(outcomes_.back());
+      record(outcome);
       return;
     }
     s.pending.emplace_back(seq, job);
@@ -136,8 +152,7 @@ void Executor::on_job_done(int server_id, std::uint64_t token) {
   outcome.finish = engine_.now();
   outcome.cores_used = s.running[slot].width;
   s.running.erase(s.running.begin() + static_cast<std::ptrdiff_t>(slot));
-  outcomes_.push_back(outcome);
-  if (on_complete_) on_complete_(outcomes_.back());
+  record(outcome);
   dispatch(server_id);
 }
 
@@ -153,9 +168,7 @@ void Executor::fail_server(int server_id) {
     outcome.job = job;
     outcome.server_id = server_id;
     outcome.dropped = true;
-    outcomes_.push_back(outcome);
-    if (on_drop_) on_drop_(job, server_id);
-    if (on_complete_) on_complete_(outcomes_.back());
+    record(outcome);
   }
   s.pending.clear();
 
@@ -167,9 +180,7 @@ void Executor::fail_server(int server_id) {
     outcome.server_id = server_id;
     outcome.start = r.start;
     outcome.dropped = true;
-    outcomes_.push_back(outcome);
-    if (on_drop_) on_drop_(r.job, server_id);
-    if (on_complete_) on_complete_(outcomes_.back());
+    record(outcome);
   }
   s.running.clear();
 }
@@ -222,48 +233,21 @@ void Executor::record_compute_outage(int server_id,
   outcome.job = job;
   outcome.server_id = server_id;
   outcome.compute_outage = true;
-  outcomes_.push_back(outcome);
-  if (on_complete_) on_complete_(outcomes_.back());
+  record(outcome);
 }
 
-Executor::Stats Executor::stats() const {
-  Stats st;
-  for (const auto& o : outcomes_) {
-    if (o.dropped) {
-      ++st.dropped;
-      continue;
-    }
-    if (o.compute_outage) {
-      ++st.compute_outages;
-      continue;
-    }
-    ++st.completed;
-    if (o.missed_deadline()) ++st.missed;
-    st.total_busy_seconds +=
-        sim::to_seconds(o.finish - o.start) * o.cores_used;
-  }
-  return st;
+void Executor::record(const JobOutcome& outcome) {
+  // Callbacks get the caller's copy, not a reference into the log: a drop
+  // callback may record another outcome and reallocate the log.
+  outcomes_.push_back(outcome);
+  tally(stats_, outcome);
+  tally(servers_[static_cast<std::size_t>(outcome.server_id)].stats, outcome);
+  if (outcome.dropped && on_drop_) on_drop_(outcome.job, outcome.server_id);
+  if (on_complete_) on_complete_(outcome);
 }
 
 Executor::Stats Executor::stats_for_server(int server_id) const {
-  (void)server(server_id);
-  Stats st;
-  for (const auto& o : outcomes_) {
-    if (o.server_id != server_id) continue;
-    if (o.dropped) {
-      ++st.dropped;
-      continue;
-    }
-    if (o.compute_outage) {
-      ++st.compute_outages;
-      continue;
-    }
-    ++st.completed;
-    if (o.missed_deadline()) ++st.missed;
-    st.total_busy_seconds +=
-        sim::to_seconds(o.finish - o.start) * o.cores_used;
-  }
-  return st;
+  return server(server_id).stats;
 }
 
 double Executor::utilization(int server_id, sim::Time window) const {

@@ -145,7 +145,7 @@ class Executor {
     return outcomes_;
   }
 
-  /// Aggregate statistics derived from the outcome log.
+  /// Running tallies over the outcome log, kept as outcomes are recorded.
   struct Stats {
     std::uint64_t completed = 0;
     std::uint64_t missed = 0;
@@ -168,7 +168,7 @@ class Executor {
                    : 0.0;
     }
   };
-  Stats stats() const;
+  Stats stats() const noexcept { return stats_; }
   Stats stats_for_server(int server_id) const;
 
   /// Busy fraction of a server's cores over [0, window].
@@ -189,12 +189,17 @@ class Executor {
     double speed_factor = 1.0;
     std::deque<std::pair<std::uint64_t, lte::SubframeJob>> pending;
     std::vector<Running> running;  ///< size <= spec.cores
+    Stats stats;  ///< This server's share of the outcome log.
   };
 
   int free_cores(const Server& s) const;
   void start_job(int server_id, const lte::SubframeJob& job);
   void on_job_done(int server_id, std::uint64_t token);
   void dispatch(int server_id);
+  /// The one place an outcome enters the log: appends it, counts it into
+  /// the pool and server tallies, then fires the drop callback (drops
+  /// only) and the completion callback with that same outcome.
+  void record(const JobOutcome& outcome);
   Server& server(int server_id);
   const Server& server(int server_id) const;
   sim::Time exec_time(const Server& s, const lte::SubframeJob& job,
@@ -206,6 +211,7 @@ class Executor {
   std::uint64_t submit_seq_ = 0;
   std::uint64_t next_token_ = 0;
   std::vector<JobOutcome> outcomes_;
+  Stats stats_;
   CompletionCallback on_complete_;
   DropCallback on_drop_;
 };

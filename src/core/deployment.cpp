@@ -54,7 +54,7 @@ Deployment::Deployment(DeploymentConfig config)
   factories_.reserve(cells_.size());
   for (const auto& cell : cells_)
     factories_.emplace_back(cell.site().cell_id, cell.site().config,
-                            lte::CostModel{}, fh_latency);
+                            pipeline_.model(), fh_latency);
 
   if (config_.shared_fronthaul) {
     fronthaul_link_.emplace(*config_.shared_fronthaul);
@@ -116,7 +116,6 @@ Deployment::Deployment(DeploymentConfig config)
   }
 
   // Controller seeded with the traffic source's expectation at start time.
-  const lte::CostModel cost_model;
   std::vector<CellDemand> initial;
   initial.reserve(cells_.size());
   for (const auto& cell : cells_) {
@@ -133,7 +132,7 @@ Deployment::Deployment(DeploymentConfig config)
       constexpr int kWarmupTtis = 100;
       for (int t = 0; t < kWarmupTtis; ++t) {
         const auto allocs = warmup.run_tti();
-        total += cost_model
+        total += pipeline_.model()
                      .subframe_cost(cell.site().config, allocs,
                                     lte::Direction::kUplink)
                      .total();
@@ -196,7 +195,7 @@ Deployment::Deployment(DeploymentConfig config)
       [this](const lte::SubframeJob& job, int server_id) {
         if (monitor_ && executor_->is_failed(server_id) &&
             !monitor_->believes_down(server_id))
-          ++blind_window_drops_;
+          ++kpis_.blind_window_drops;
         const int placed = controller_->server_of(job.cell_id);
         const int target =
             migration_
@@ -223,7 +222,7 @@ Deployment::Deployment(DeploymentConfig config)
     if (o.compute_outage) {
       // Abandoned for lack of compute: the decode never ran, so the UE
       // hears no ACK and the HARQ debt comes due exactly as for a miss.
-      compute_outage_tbs_ +=
+      kpis_.compute_outage_tbs +=
           static_cast<std::uint64_t>(o.job.compute_outage_tbs);
       PRAN_COUNTER_INC("compute.outage_jobs");
       PRAN_COUNTER_ADD("compute.outage_tbs",
@@ -236,7 +235,7 @@ Deployment::Deployment(DeploymentConfig config)
       PRAN_COUNTER_INC("deployment.deadline_misses");
       if (cell_misses_) cell_misses_->inc(cell);
     } else if (!o.dropped) {
-      delivered_tb_bits_ += o.job.tb_bits;  // on-time: goodput numerator
+      kpis_.delivered_tb_bits += o.job.tb_bits;  // on-time: goodput numerator
     }
     if (o.dropped || !o.missed_deadline()) return;
     handle_harq_loss(o.job);
@@ -275,7 +274,7 @@ Deployment::Deployment(DeploymentConfig config)
       // Detection order matters: the migration manager first (it decides
       // which cells resolve by lease takeover), then the failover.
       if (migration_) migration_->on_server_failed(server_id);
-      failover_outages_ += controller_->handle_failure(server_id, at);
+      kpis_.failover_outage_cells += controller_->handle_failure(server_id, at);
       current_active_servers_ =
           PlacementResult{controller_->placement()}.active_servers();
     });
@@ -367,11 +366,11 @@ void Deployment::tick() {
         }
       }
     }
-    lte::SubframeJob job = factories_[c].uplink_job(tti_counter_, allocs);
-    // Custom pipeline stages add work beyond the standard six.
-    job.extra_gops =
-        pipeline_.extra_gops(cells_[c].site().config, allocs,
-                             job.cost.total());
+    const lte::SubframeFactory& factory = factories_[c];
+    lte::SubframeJob job = factory.uplink_job(tti_counter_, allocs);
+    // The programmed pipeline prices the factory's cost: removed standard
+    // stages drop out, custom stages add their work.
+    pipeline_.price(factory.config(), allocs, job);
     // Drawn unconditionally per (cell, TTI) so the transport-block
     // quality sequence never shifts when the ladder moves.
     const double quality_draw = degradation_ ? quality_rng_.uniform() : 1.0;
@@ -388,7 +387,7 @@ void Deployment::tick() {
       // Ladder took the cell out of service: radio off, so no I/Q hits
       // the wire — quarantine is the one rung that relieves the fibre
       // itself. Demand estimation stays warm for readmission.
-      ++quarantined_cell_ttis_;
+      ++kpis_.quarantined_cell_ttis;
       controller_->observe(static_cast<int>(c), job.total_gops());
       continue;
     }
@@ -430,7 +429,7 @@ void Deployment::tick() {
         // cost E22 measures.
         handle_harq_loss(job);
       } else {
-        ++outage_cell_ttis_;  // cell in outage: traffic lost this TTI
+        ++kpis_.outage_cell_ttis;  // cell in outage: traffic lost this TTI
       }
       continue;
     }
@@ -445,7 +444,7 @@ void Deployment::tick() {
           (config_.server.gops_per_tti() * executor_->speed_factor(server)) *
           static_cast<double>(sim::kTti));
       if (job.release + estimated_exec > job.deadline) {
-        ++shed_subframes_;
+        ++kpis_.shed_subframes;
         PRAN_COUNTER_INC("fronthaul.shed_subframes");
         handle_harq_loss(job);
         continue;
@@ -467,18 +466,18 @@ void Deployment::tick() {
       const lte::EffortCapOutcome capped =
           lte::apply_effort_cap(allocs, effort_cap);
       if (capped.capped_tbs > 0) {
-        job.cost = factories_[c].model().subframe_cost(
-            factories_[c].config(), allocs, lte::Direction::kUplink);
-        job.extra_gops = pipeline_.extra_gops(cells_[c].site().config,
-                                              allocs, job.cost.total());
+        job.cost = factory.model().subframe_cost(factory.config(), allocs,
+                                                 lte::Direction::kUplink);
+        pipeline_.price(factory.config(), allocs, job);
         job.decode_iterations_realized = capped.realized_iterations;
-        effort_capped_tbs_ += static_cast<std::uint64_t>(capped.capped_tbs);
+        kpis_.effort_capped_tbs +=
+            static_cast<std::uint64_t>(capped.capped_tbs);
         PRAN_COUNTER_ADD("compute.capped_tbs",
                          static_cast<std::uint64_t>(capped.capped_tbs));
       }
     }
-    offered_tb_bits_ += job.tb_bits;
-    decode_iterations_needed_ +=
+    kpis_.offered_tb_bits += job.tb_bits;
+    kpis_.decode_iterations_needed +=
         static_cast<std::uint64_t>(job.decode_iterations_needed);
     if (config_.overload.enabled) {
       // Admission: if even the capped decode cannot finish inside the
@@ -492,7 +491,7 @@ void Deployment::tick() {
         continue;
       }
     }
-    decode_iterations_realized_ +=
+    kpis_.decode_iterations_realized +=
         static_cast<std::uint64_t>(job.decode_iterations_realized);
     if ((degradation_ || config_.overload.enabled) && job.tb_count > 0) {
       const double tbs = static_cast<double>(job.tb_count);
@@ -513,7 +512,7 @@ void Deployment::tick() {
     if (quality_draw < compression_penalty_) {
       // The decode will run, but the harder compression cost this
       // transport block its CRC: same HARQ consequence as a late decode.
-      ++compression_tb_failures_;
+      ++kpis_.compression_tb_failures;
       PRAN_COUNTER_INC("fronthaul.compression_tb_failures");
       handle_harq_loss(job);
     }
@@ -525,8 +524,8 @@ void Deployment::tick() {
     for (int s = 0; s < executor_->num_servers(); ++s)
       epoch_peak_pressure_ =
           std::max(epoch_peak_pressure_, executor_->backlog_ttis(s));
-    peak_compute_pressure_ =
-        std::max(peak_compute_pressure_, epoch_peak_pressure_);
+    kpis_.peak_compute_pressure =
+        std::max(kpis_.peak_compute_pressure, epoch_peak_pressure_);
   }
   ++tti_counter_;
   engine_.schedule_in(sim::kTti, [this] { tick(); });
@@ -693,7 +692,7 @@ void Deployment::on_server_fault(int server_id, faults::FaultKind kind) {
   // resolve by lease takeover and must be filtered out of the failover.
   close_energy_interval();
   if (migration_) migration_->on_server_failed(server_id);
-  failover_outages_ +=
+  kpis_.failover_outage_cells +=
       controller_->handle_failure(server_id, engine_.now());
   current_active_servers_ =
       PlacementResult{controller_->placement()}.active_servers();
@@ -745,7 +744,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
       job.direction != lte::Direction::kUplink)
     return;
   if (job.harq_retx >= config_.max_harq_retx) {
-    ++lost_tbs_;
+    ++kpis_.lost_transport_blocks;
     return;
   }
   lte::SubframeJob retx = job;
@@ -757,7 +756,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
       migration_ ? migration_->routed_server(retx.cell_id, engine_.now(), placed)
                  : placed;
   if (target < 0 || executor_->is_failed(target)) {
-    ++lost_tbs_;
+    ++kpis_.lost_transport_blocks;
     return;
   }
   if (degradation_ && degradation_->shedding()) {
@@ -772,7 +771,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
         (config_.server.gops_per_tti() * executor_->speed_factor(target)) *
         static_cast<double>(sim::kTti));
     if (retx.release + estimated_exec > retx.deadline) {
-      ++shed_subframes_;
+      ++kpis_.shed_subframes;
       PRAN_COUNTER_INC("fronthaul.shed_subframes");
       handle_harq_loss(retx);
       return;
@@ -790,7 +789,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
       return;
     }
   }
-  ++harq_retx_count_;
+  ++kpis_.harq_retransmissions;
   executor_->submit(target, retx);
 }
 
@@ -813,40 +812,27 @@ void Deployment::restore_server_at(sim::Time t, int server_id) {
 }
 
 DeploymentKpis Deployment::kpis() const {
-  DeploymentKpis k;
+  // Deployment's own counts live in kpis_; the rest is read from the
+  // components that own it.
+  DeploymentKpis k = kpis_;
   const auto stats = executor_->stats();
   k.subframes_processed = stats.completed;
   k.deadline_misses = stats.missed;
   k.dropped = stats.dropped;
   k.miss_ratio = stats.miss_ratio();
+  k.compute_outage_jobs = stats.compute_outages;
+  k.compute_outage_ratio = stats.compute_outage_ratio();
   k.migrations = controller_->total_migrations();
-  k.failover_outage_cells = failover_outages_;
-
-  k.outage_cell_ttis = outage_cell_ttis_;
-  k.harq_retransmissions = harq_retx_count_;
-  k.lost_transport_blocks = lost_tbs_;
 
   if (fronthaul_link_) {
     k.fronthaul_lost_bursts = fronthaul_link_->bursts_lost();
     k.fronthaul_late_bursts = fronthaul_link_->late_bursts();
   }
   if (impairments_) k.fronthaul_brownouts = impairments_->brownouts();
-  k.shed_subframes = shed_subframes_;
-  k.compression_tb_failures = compression_tb_failures_;
-  k.quarantined_cell_ttis = quarantined_cell_ttis_;
   if (degradation_) {
     k.ladder_rung = degradation_->rung();
     k.ladder_transitions = degradation_->transitions();
   }
-  k.compute_outage_jobs = stats.compute_outages;
-  k.compute_outage_tbs = compute_outage_tbs_;
-  k.compute_outage_ratio = stats.compute_outage_ratio();
-  k.effort_capped_tbs = effort_capped_tbs_;
-  k.decode_iterations_needed = decode_iterations_needed_;
-  k.decode_iterations_realized = decode_iterations_realized_;
-  k.offered_tb_bits = offered_tb_bits_;
-  k.delivered_tb_bits = delivered_tb_bits_;
-  k.peak_compute_pressure = peak_compute_pressure_;
 
   if (migration_) {
     const MigrationCounters& mc = migration_->counters();
@@ -867,7 +853,6 @@ DeploymentKpis Deployment::kpis() const {
   k.faults_injected = injector_->faults_delivered();
   k.degrade_events = injector_->degrade_faults();
   k.quarantine_events = controller_->quarantine_events();
-  k.blind_window_drops = blind_window_drops_;
   if (monitor_) {
     k.fault_detections = monitor_->detections();
     if (k.fault_detections > 0)
@@ -906,13 +891,6 @@ DeploymentKpis Deployment::kpis() const {
     }
   }
   return k;
-}
-
-std::uint64_t Deployment::misses_for_cell(int cell_id) const {
-  std::uint64_t n = 0;
-  for (const auto& o : executor_->outcomes())
-    if (o.job.cell_id == cell_id && o.missed_deadline()) ++n;
-  return n;
 }
 
 }  // namespace pran::core

@@ -313,9 +313,6 @@ class Deployment {
   const sim::Trace& trace() const noexcept { return trace_; }
   const DeploymentConfig& config() const noexcept { return config_; }
 
-  /// Per-cell outcome filter: count of deadline misses for one cell.
-  std::uint64_t misses_for_cell(int cell_id) const;
-
   /// Timeline machinery (nullptr unless config().timeline.enabled and the
   /// build has telemetry).
   const telemetry::TimeSeriesRecorder* timeline_recorder() const noexcept {
@@ -387,35 +384,23 @@ class Deployment {
   /// the sequence is a pure function of the seed.
   Rng quality_rng_;
   double compression_penalty_ = 0.0;
-  /// Compute-aware overload accounting (see overload.hpp).
-  std::uint64_t compute_outage_tbs_ = 0;
-  std::uint64_t effort_capped_tbs_ = 0;
-  std::uint64_t decode_iterations_needed_ = 0;
-  std::uint64_t decode_iterations_realized_ = 0;
-  double offered_tb_bits_ = 0.0;
-  double delivered_tb_bits_ = 0.0;
+  /// The KPIs this deployment counts itself (outages, effort caps, decode
+  /// iterations, goodput bits, shedding, HARQ, blind-window drops, ...),
+  /// incremented in place. kpis() copies it and fills in the fields other
+  /// components own.
+  DeploymentKpis kpis_;
   /// Worst backlog_ttis over the current epoch (feeds the ladder's
-  /// compute-pressure signal) and over the whole run.
+  /// compute-pressure signal).
   double epoch_peak_pressure_ = 0.0;
-  double peak_compute_pressure_ = 0.0;
-  std::uint64_t shed_subframes_ = 0;
-  std::uint64_t compression_tb_failures_ = 0;
-  std::uint64_t quarantined_cell_ttis_ = 0;
   /// Executor-stat marks for per-epoch deadline-miss-rate deltas.
   std::uint64_t epoch_completed_mark_ = 0;
   std::uint64_t epoch_missed_mark_ = 0;
   Pipeline pipeline_;
-  double standard_gops_cache_ = 0.0;  // scratch, see tick()
   std::int64_t tti_counter_ = 0;
-  int failover_outages_ = 0;
-  std::uint64_t outage_cell_ttis_ = 0;
   /// Fault bookkeeping: when each server last crashed (for detection
-  /// latency), accumulated latency, and drops inside the blind window.
+  /// latency) and the accumulated latency.
   std::vector<sim::Time> fault_time_;
   sim::Time detection_latency_total_ = 0;
-  std::uint64_t blind_window_drops_ = 0;
-  std::uint64_t harq_retx_count_ = 0;
-  std::uint64_t lost_tbs_ = 0;
   /// Energy accounting: powered-server-seconds accrued so far plus the
   /// currently active count since the last accrual mark.
   double active_server_seconds_ = 0.0;

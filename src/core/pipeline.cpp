@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 
@@ -8,32 +9,37 @@ namespace pran::core {
 
 Pipeline Pipeline::standard_uplink(lte::CostModel model) {
   Pipeline p;
+  p.model_ = model;
   for (std::size_t i = 0; i < lte::kStageCount; ++i) {
     const auto stage = static_cast<lte::Stage>(i);
-    p.append(StageSpec{
-        lte::stage_name(stage),
-        [model, stage](const lte::CellConfig& cell,
-                       std::span<const lte::Allocation> allocs) {
-          return model.subframe_cost(cell, allocs,
-                                     lte::Direction::kUplink)[stage];
-        }});
+    p.append(StageSpec{lte::stage_name(stage), nullptr, stage});
   }
   return p;
 }
 
-Pipeline& Pipeline::append(StageSpec stage) {
+void Pipeline::check_new(const StageSpec& stage) const {
   PRAN_REQUIRE(!stage.name.empty(), "stage needs a name");
-  PRAN_REQUIRE(stage.cost_fn != nullptr, "stage needs a cost function");
+  PRAN_REQUIRE((stage.cost_fn != nullptr) != stage.slice.has_value(),
+               "stage needs a cost function or a cost-model slice");
   PRAN_REQUIRE(!contains(stage.name), "duplicate stage name");
+  if (!stage.slice) return;
+  PRAN_REQUIRE(*stage.slice < lte::Stage::kCount, "unknown cost-model slice");
+  PRAN_REQUIRE(std::none_of(stages_.begin(), stages_.end(),
+                            [&](const StageSpec& s) {
+                              return s.slice == stage.slice;
+                            }),
+               "duplicate cost-model slice");
+}
+
+Pipeline& Pipeline::append(StageSpec stage) {
+  check_new(stage);
   stages_.push_back(std::move(stage));
   return *this;
 }
 
 Pipeline& Pipeline::insert_after(const std::string& existing,
                                  StageSpec stage) {
-  PRAN_REQUIRE(!stage.name.empty(), "stage needs a name");
-  PRAN_REQUIRE(stage.cost_fn != nullptr, "stage needs a cost function");
-  PRAN_REQUIRE(!contains(stage.name), "duplicate stage name");
+  check_new(stage);
   const auto it =
       std::find_if(stages_.begin(), stages_.end(),
                    [&](const StageSpec& s) { return s.name == existing; });
@@ -66,15 +72,33 @@ std::vector<std::string> Pipeline::stage_names() const {
 double Pipeline::subframe_gops(
     const lte::CellConfig& cell,
     std::span<const lte::Allocation> allocs) const {
+  const bool any_standard =
+      std::any_of(stages_.begin(), stages_.end(),
+                  [](const StageSpec& s) { return s.slice.has_value(); });
+  const lte::StageCost cost =
+      any_standard
+          ? model_.subframe_cost(cell, allocs, lte::Direction::kUplink)
+          : lte::StageCost{};
   double total = 0.0;
-  for (const auto& s : stages_) total += s.cost_fn(cell, allocs);
+  for (const auto& s : stages_)
+    total += s.slice ? cost[*s.slice] : s.cost_fn(cell, allocs);
   return total;
 }
 
-double Pipeline::extra_gops(const lte::CellConfig& cell,
-                            std::span<const lte::Allocation> allocs,
-                            double base_gops) const {
-  return std::max(0.0, subframe_gops(cell, allocs) - base_gops);
+void Pipeline::price(const lte::CellConfig& cell,
+                     std::span<const lte::Allocation> allocs,
+                     lte::SubframeJob& job) const {
+  std::array<bool, lte::kStageCount> kept{};
+  double extra = 0.0;
+  for (const auto& s : stages_) {
+    if (s.slice)
+      kept[static_cast<std::size_t>(*s.slice)] = true;
+    else
+      extra += s.cost_fn(cell, allocs);
+  }
+  for (std::size_t i = 0; i < lte::kStageCount; ++i)
+    if (!kept[i]) job.cost.gops[i] = 0.0;
+  job.extra_gops = extra;
 }
 
 namespace stages {

@@ -13,30 +13,37 @@
 /// adding a stage immediately shows up in placement and deadline behaviour.
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "lte/cost_model.hpp"
+#include "lte/subframe.hpp"
 
 namespace pran::core {
 
-/// One stage of a programmable pipeline.
+/// One stage of a programmable pipeline. A standard stage names the slice
+/// of the pipeline's cost model it takes; a custom (programmed-in) stage
+/// prices itself through `cost_fn`. Exactly one of the two is set.
 struct StageSpec {
   std::string name;
-  /// Giga-operations this stage adds to one subframe.
+  /// Custom stages: giga-operations this stage adds to one subframe.
   std::function<double(const lte::CellConfig&,
                        std::span<const lte::Allocation>)>
       cost_fn;
+  /// Standard stages: the cost-model slice this stage stands for.
+  std::optional<lte::Stage> slice = std::nullopt;
 };
 
-/// An ordered stage list with edit operations. Value type; copies are
-/// independent (cells can run different programs).
+/// An ordered stage list with edit operations, priced against one cost
+/// model. Value type; copies are independent (cells can run different
+/// programs).
 class Pipeline {
  public:
-  /// The standard uplink receive pipeline, with per-stage costs taken from
-  /// `model`. Stage names match lte::stage_name: fft, chest, equalize,
-  /// demod, decode, mac.
+  /// The standard uplink receive pipeline: one stage per slice of `model`.
+  /// Stage names match lte::stage_name: fft, chest, equalize, demod,
+  /// decode, mac.
   static Pipeline standard_uplink(lte::CostModel model = lte::CostModel{});
 
   /// Appends a stage at the end.
@@ -52,17 +59,26 @@ class Pipeline {
   std::vector<std::string> stage_names() const;
   std::size_t size() const noexcept { return stages_.size(); }
 
-  /// Total giga-operations of one subframe under this pipeline.
+  /// The cost model the standard stages take their slices from.
+  const lte::CostModel& model() const noexcept { return model_; }
+
+  /// Total giga-operations of one subframe under this pipeline. Evaluates
+  /// the cost model at most once.
   double subframe_gops(const lte::CellConfig& cell,
                        std::span<const lte::Allocation> allocs) const;
 
-  /// Extra cost relative to the standard pipeline cost `base_gops`
-  /// (convenience for wiring custom stages into SubframeJob::extra_gops).
-  double extra_gops(const lte::CellConfig& cell,
-                    std::span<const lte::Allocation> allocs,
-                    double base_gops) const;
+  /// Prices `job` under this pipeline. `job.cost` must already hold the
+  /// model's full uplink cost of (cell, allocs), as SubframeFactory builds
+  /// it: the slices of standard stages this pipeline removed are zeroed,
+  /// and `job.extra_gops` becomes the sum of the custom stages.
+  void price(const lte::CellConfig& cell,
+             std::span<const lte::Allocation> allocs,
+             lte::SubframeJob& job) const;
 
  private:
+  void check_new(const StageSpec& stage) const;
+
+  lte::CostModel model_;
   std::vector<StageSpec> stages_;
 };
 

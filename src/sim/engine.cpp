@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -20,35 +21,30 @@ EventId Engine::schedule_in(Time delay, Handler handler) {
   return schedule_at(now_ + delay, std::move(handler));
 }
 
-bool Engine::cancel(EventId id) {
-  if (live_.erase(id) == 0) return false;
-  cancelled_.insert(id);
-  return true;
-}
+bool Engine::cancel(EventId id) { return live_.erase(id) != 0; }
 
-void Engine::skim_cancelled() {
+bool Engine::fire_next(Time limit) {
   while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
+    const Event& head = queue_.top();
+    if (head.at > limit) return false;
+    if (live_.erase(head.id) == 0) {  // cancelled: skim it off
+      queue_.pop();
+      continue;
+    }
+    // Copy the event out before popping so the handler can schedule/cancel
+    // freely while it runs.
+    Event ev = head;
     queue_.pop();
+    PRAN_CHECK(ev.at >= now_, "event queue produced a time in the past");
+    now_ = ev.at;
+    ++executed_;
+    ev.handler();
+    return true;
   }
+  return false;
 }
 
-bool Engine::step() {
-  skim_cancelled();
-  if (queue_.empty()) return false;
-  // Copy the event out before popping so the handler can schedule/cancel
-  // freely while it runs.
-  Event ev = queue_.top();
-  queue_.pop();
-  live_.erase(ev.id);
-  PRAN_CHECK(ev.at >= now_, "event queue produced a time in the past");
-  now_ = ev.at;
-  ++executed_;
-  ev.handler();
-  return true;
-}
+bool Engine::step() { return fire_next(std::numeric_limits<Time>::max()); }
 
 void Engine::run() {
   while (step()) {
@@ -57,10 +53,7 @@ void Engine::run() {
 
 void Engine::run_until(Time deadline) {
   PRAN_REQUIRE(deadline >= now_, "deadline is in the past");
-  for (;;) {
-    skim_cancelled();
-    if (queue_.empty() || queue_.top().at > deadline) break;
-    step();
+  while (fire_next(deadline)) {
   }
   now_ = deadline;
 }

@@ -70,15 +70,18 @@ class Engine {
     }
   };
 
-  /// Pops cancelled events off the queue head.
-  void skim_cancelled();
+  /// Fires the earliest live event if it is due by `limit`, first popping
+  /// queue heads that are no longer live (cancelled). Returns false when no
+  /// live event is due.
+  bool fire_next(Time limit);
 
   Time now_ = 0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> live_;       // scheduled, not fired or cancelled
-  std::unordered_set<EventId> cancelled_;  // cancelled, still in queue_
+  /// Scheduled and neither fired nor cancelled. queue_ may still hold
+  /// cancelled events; they are popped once they reach its head.
+  std::unordered_set<EventId> live_;
 };
 
 }  // namespace pran::sim

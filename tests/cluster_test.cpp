@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/executor.hpp"
 #include "common/check.hpp"
 
@@ -229,6 +231,42 @@ TEST(Executor, ComputeOutageIsItsOwnOutcome) {
   EXPECT_EQ(ex.stats_for_server(0).compute_outages, 1u);
   EXPECT_THROW(ex.record_compute_outage(9, make_job(0, 0.1, 0, 1)),
                pran::ContractViolation);
+}
+
+TEST(Executor, DropCallbackOutageSeenOnceByCompletion) {
+  // The drop callback abandons the job on another server as a compute
+  // outage, recording a second outcome while the drop is being reported.
+  // The completion callback must still see each outcome exactly once.
+  sim::Engine engine;
+  Executor ex(engine, {one_core(100.0), one_core(100.0)}, SchedPolicy::kEdf);
+  ex.set_drop_callback([&](const lte::SubframeJob& job, int) {
+    ex.record_compute_outage(1, job);
+  });
+  std::vector<JobOutcome> seen;
+  ex.set_completion_callback(
+      [&](const JobOutcome& o) { seen.push_back(o); });
+  ex.submit(0, make_job(1, 0.5, 0, 10 * sim::kMillisecond));
+  engine.run_until(sim::kMillisecond);  // running on server 0
+  ex.fail_server(0);
+
+  ASSERT_EQ(seen.size(), ex.outcomes().size());
+  int drops = 0, outages = 0;
+  for (const JobOutcome& o : seen) {
+    if (o.dropped) {
+      ++drops;
+      EXPECT_EQ(o.server_id, 0);
+    }
+    if (o.compute_outage) {
+      ++outages;
+      EXPECT_EQ(o.server_id, 1);
+    }
+  }
+  EXPECT_EQ(drops, 1);
+  EXPECT_EQ(outages, 1);
+  EXPECT_EQ(ex.stats().dropped, 1u);
+  EXPECT_EQ(ex.stats().compute_outages, 1u);
+  EXPECT_EQ(ex.stats_for_server(0).dropped, 1u);
+  EXPECT_EQ(ex.stats_for_server(1).compute_outages, 1u);
 }
 
 TEST(Executor, ComputeOutageExcludedFromUtilization) {

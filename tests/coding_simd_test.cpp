@@ -14,11 +14,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "coding/awgn.hpp"
-#include "coding/batch.hpp"
 #include "coding/bler.hpp"
 #include "coding/convolutional.hpp"
 #include "coding/simd/dispatch.hpp"
@@ -458,55 +456,6 @@ TEST(SimdViterbiDecode, BatchMatchesSingleDecodes) {
       ASSERT_EQ(ref.info, items[i].info) << "i=" << i;
       EXPECT_EQ(ref.path_metric, items[i].path_metric);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Same-K collector: cross-TB aggregation preserves per-block results.
-// ---------------------------------------------------------------------------
-
-TEST(TurboBatchCollector, MixedSizesDecodeToPerBlockResults) {
-  Rng rng(0xC011EC7);
-  struct Block {
-    std::size_t k;
-    Bits info;
-    Llrs llrs;
-  };
-  std::vector<Block> blocks;
-  for (std::size_t k : {std::size_t{64}, std::size_t{128}, std::size_t{64},
-                        std::size_t{256}, std::size_t{64},
-                        std::size_t{128}}) {
-    Block b;
-    b.k = k;
-    b.info = random_bits(k, rng);
-    b.llrs = transmit_bpsk(turbo_encode(b.info), units::Db{0.0}, rng);
-    blocks.push_back(std::move(b));
-  }
-
-  TurboBatchCollector collector;
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    collector.add(blocks[i].llrs, blocks[i].k, /*tag=*/i);
-  EXPECT_EQ(collector.pending(), blocks.size());
-
-  TurboDecoder dec;
-  std::vector<TurboBatchResult> results;
-  collector.flush(dec, results, 8,
-                  [&](std::size_t tag, const Bits& hard) {
-                    return hard == blocks[tag].info;
-                  });
-  EXPECT_EQ(collector.pending(), 0u);
-  ASSERT_EQ(results.size(), blocks.size());
-
-  ScopedIsa pin(simd::Isa::kScalar);
-  TurboDecoder scalar_dec;
-  for (const TurboBatchResult& r : results) {
-    const Block& b = blocks[r.tag];
-    const TurboResult& ref = scalar_dec.decode(
-        b.llrs, b.k, 8,
-        [&](const Bits& hard) { return hard == b.info; });
-    ASSERT_EQ(ref.info, r.info) << "tag=" << r.tag;
-    EXPECT_EQ(ref.iterations, r.iterations);
-    EXPECT_EQ(ref.converged, r.converged);
   }
 }
 

@@ -112,6 +112,27 @@ TEST(Deployment, CustomPipelineRaisesLoad) {
   EXPECT_GT(heavy_demand, plain_demand * 1.05);
 }
 
+TEST(Deployment, RemovedPipelineStageLowersLoad) {
+  auto light_config = small_config();
+  auto pipeline = Pipeline::standard_uplink();
+  pipeline.remove("decode");
+  light_config.pipeline = pipeline;
+
+  Deployment plain(small_config());
+  Deployment light(light_config);
+  plain.run_for(500 * sim::kMillisecond);
+  light.run_for(500 * sim::kMillisecond);
+
+  // Turbo decoding is about half of a loaded subframe: a pipeline without
+  // it must be priced well below the standard one.
+  double plain_demand = 0.0, light_demand = 0.0;
+  for (int c = 0; c < 4; ++c) {
+    plain_demand += plain.controller().estimated_demand(c);
+    light_demand += light.controller().estimated_demand(c);
+  }
+  EXPECT_LT(light_demand, plain_demand * 0.95);
+}
+
 TEST(Deployment, MilpPlacerWorksEndToEnd) {
   auto config = small_config();
   config.placer = DeploymentConfig::PlacerKind::kMilp;
@@ -143,14 +164,6 @@ TEST(Deployment, RejectsImpossibleConfigurations) {
   config.num_servers = 1;
   config.server.cores = 1;
   EXPECT_THROW(Deployment{config}, pran::ContractViolation);
-}
-
-TEST(Deployment, MissesForCellFilterWorks) {
-  Deployment d(small_config());
-  d.run_for(300 * sim::kMillisecond);
-  std::uint64_t total = 0;
-  for (int c = 0; c < 4; ++c) total += d.misses_for_cell(c);
-  EXPECT_EQ(total, d.kpis().deadline_misses);
 }
 
 // --- Compute-aware overload control. ---------------------------------------

@@ -13,14 +13,27 @@ namespace {
 const lte::CellConfig kCell{};
 const std::vector<lte::Allocation> kAllocs{{50, 20, 6}, {25, 10, 4}};
 
+/// A job whose cost is the model's full uplink cost, as SubframeFactory
+/// builds it, priced under `p`.
+lte::SubframeJob priced(const Pipeline& p) {
+  lte::SubframeJob job;
+  job.cost = p.model().subframe_cost(kCell, kAllocs, lte::Direction::kUplink);
+  p.price(kCell, kAllocs, job);
+  return job;
+}
+
 TEST(Pipeline, StandardMatchesCostModel) {
   lte::CostModel model;
   const auto pipeline = Pipeline::standard_uplink(model);
   EXPECT_EQ(pipeline.size(), lte::kStageCount);
-  const double expected =
-      model.subframe_cost(kCell, kAllocs, lte::Direction::kUplink).total();
-  EXPECT_NEAR(pipeline.subframe_gops(kCell, kAllocs), expected, 1e-12);
-  EXPECT_NEAR(pipeline.extra_gops(kCell, kAllocs, expected), 0.0, 1e-12);
+  const lte::StageCost expected =
+      model.subframe_cost(kCell, kAllocs, lte::Direction::kUplink);
+  EXPECT_NEAR(pipeline.subframe_gops(kCell, kAllocs), expected.total(),
+              1e-12);
+  // Pricing the standard pipeline leaves the factory's cost untouched.
+  const lte::SubframeJob job = priced(pipeline);
+  EXPECT_EQ(job.cost.gops, expected.gops);
+  EXPECT_EQ(job.extra_gops, 0.0);
 }
 
 TEST(Pipeline, StageNamesInOrder) {
@@ -37,8 +50,9 @@ TEST(Pipeline, AppendAddsCost) {
   p.append(stages::interference_cancellation());
   EXPECT_GT(p.subframe_gops(kCell, kAllocs), base);
   EXPECT_TRUE(p.contains("interference-cancellation"));
-  EXPECT_NEAR(p.extra_gops(kCell, kAllocs, base),
-              p.subframe_gops(kCell, kAllocs) - base, 1e-12);
+  const lte::SubframeJob job = priced(p);
+  EXPECT_NEAR(job.extra_gops, p.subframe_gops(kCell, kAllocs) - base, 1e-12);
+  EXPECT_NEAR(job.total_gops(), p.subframe_gops(kCell, kAllocs), 1e-12);
 }
 
 TEST(Pipeline, InsertAfterPlacesStage) {
@@ -72,6 +86,13 @@ TEST(Pipeline, RejectsDuplicatesAndInvalidStages) {
   EXPECT_THROW(p.append(StageSpec{"", [](auto&, auto) { return 0.0; }}),
                pran::ContractViolation);
   EXPECT_THROW(p.append(StageSpec{"x", nullptr}), pran::ContractViolation);
+  // A stage is either a model slice or a custom cost, never both, and each
+  // slice is priced at most once.
+  EXPECT_THROW(p.append(StageSpec{"y", [](auto&, auto) { return 0.0; },
+                                  lte::Stage::kFft}),
+               pran::ContractViolation);
+  EXPECT_THROW(p.append(StageSpec{"fft-again", nullptr, lte::Stage::kFft}),
+               pran::ContractViolation);
 }
 
 TEST(Pipeline, CopiesAreIndependent) {
@@ -105,13 +126,17 @@ TEST(Stages, SoundingIsLoadIndependent) {
   EXPECT_GT(stage.cost_fn(kCell, {}), 0.0);
 }
 
-TEST(Pipeline, ExtraGopsNeverNegative) {
+TEST(Pipeline, PriceZeroesRemovedStages) {
   auto p = Pipeline::standard_uplink();
-  p.remove("decode");  // cheaper than base
-  const double base =
-      lte::CostModel{}.subframe_cost(kCell, kAllocs, lte::Direction::kUplink)
-          .total();
-  EXPECT_DOUBLE_EQ(p.extra_gops(kCell, kAllocs, base), 0.0);
+  p.remove("decode");  // cheaper than the factory's full cost
+  const lte::StageCost full =
+      lte::CostModel{}.subframe_cost(kCell, kAllocs, lte::Direction::kUplink);
+  const lte::SubframeJob job = priced(p);
+  EXPECT_EQ(job.cost[lte::Stage::kDecode], 0.0);
+  EXPECT_EQ(job.cost[lte::Stage::kFft], full[lte::Stage::kFft]);
+  EXPECT_EQ(job.extra_gops, 0.0);  // never negative
+  EXPECT_NEAR(job.total_gops(), p.subframe_gops(kCell, kAllocs), 1e-12);
+  EXPECT_LT(job.total_gops(), full.total());
 }
 
 }  // namespace
