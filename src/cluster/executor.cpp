@@ -43,7 +43,7 @@ Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
   for (auto& spec : specs) {
     PRAN_REQUIRE(spec.cores >= 1, "server needs at least one core");
     PRAN_REQUIRE(spec.gops_per_core > 0.0, "core capacity must be positive");
-    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, {}});
+    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0, {}});
   }
 }
 
@@ -129,13 +129,14 @@ void Executor::start_job(int server_id, const lte::SubframeJob& job) {
   const sim::Time start = engine_.now();
   const sim::Time duration = exec_time(s, job, width);
   const std::uint64_t token = next_token_++;
-  const sim::EventId ev = engine_.schedule_in(
+  engine_.schedule_in(
       duration, [this, server_id, token] { on_job_done(server_id, token); });
-  s.running.push_back(Running{job, start, ev, token, width});
+  s.running.push_back(Running{job, start, token, width});
 }
 
 void Executor::on_job_done(int server_id, std::uint64_t token) {
   Server& s = servers_[static_cast<std::size_t>(server_id)];
+  if (token < s.first_live_token) return;  // dropped by a failure
   std::size_t slot = s.running.size();
   for (std::size_t i = 0; i < s.running.size(); ++i) {
     if (s.running[i].token == token) {
@@ -160,6 +161,8 @@ void Executor::fail_server(int server_id) {
   Server& s = server(server_id);
   PRAN_REQUIRE(!s.failed, "server is already failed");
   s.failed = true;
+  // Every job started so far is dropped below; their completions go stale.
+  s.first_live_token = next_token_;
 
   // Drop the waiting queue.
   for (auto& [seq, job] : s.pending) {
@@ -174,7 +177,6 @@ void Executor::fail_server(int server_id) {
 
   // Abort in-flight jobs.
   for (auto& r : s.running) {
-    engine_.cancel(r.completion_event);
     JobOutcome outcome;
     outcome.job = r.job;
     outcome.server_id = server_id;
@@ -252,19 +254,14 @@ Executor::Stats Executor::stats_for_server(int server_id) const {
 
 double Executor::utilization(int server_id, sim::Time window) const {
   PRAN_REQUIRE(window > 0, "window must be positive");
+  PRAN_REQUIRE(window >= engine_.now(), "window must reach now()");
   const Server& s = server(server_id);
-  double busy = 0.0;
-  for (const auto& o : outcomes_) {
-    if (o.server_id != server_id || o.dropped || o.compute_outage) continue;
-    busy += sim::to_seconds(std::min(o.finish, window) -
-                            std::min(o.start, window)) *
-            o.cores_used;
-  }
-  // In-flight jobs also count up to the window edge.
+  // Every recorded job finished by now() <= window, so the tally holds
+  // exactly the busy time inside the window; in-flight jobs add theirs up
+  // to now().
+  double busy = s.stats.total_busy_seconds;
   for (const auto& r : s.running)
-    busy += sim::to_seconds(std::max<sim::Time>(
-               0, std::min(engine_.now(), window) - std::min(r.start, window))) *
-           r.width;
+    busy += sim::to_seconds(engine_.now() - r.start) * r.width;
   return busy /
          (sim::to_seconds(window) * static_cast<double>(s.spec.cores));
 }

@@ -171,14 +171,15 @@ class Executor {
   Stats stats() const noexcept { return stats_; }
   Stats stats_for_server(int server_id) const;
 
-  /// Busy fraction of a server's cores over [0, window].
+  /// Busy fraction of a server's cores over [0, window], for a window
+  /// that reaches at least now(): the server's busy-seconds tally plus its
+  /// in-flight jobs up to now().
   double utilization(int server_id, sim::Time window) const;
 
  private:
   struct Running {
     lte::SubframeJob job;
     sim::Time start;
-    sim::EventId completion_event;
     std::uint64_t token;  ///< Unique per started job; keys completions.
     int width = 1;        ///< Cores this job occupies.
   };
@@ -189,6 +190,9 @@ class Executor {
     double speed_factor = 1.0;
     std::deque<std::pair<std::uint64_t, lte::SubframeJob>> pending;
     std::vector<Running> running;  ///< size <= spec.cores
+    /// Tokens below this mark belong to jobs a failure dropped; their
+    /// completion events are stale and ignored when they fire.
+    std::uint64_t first_live_token = 0;
     Stats stats;  ///< This server's share of the outcome log.
   };
 

@@ -299,21 +299,14 @@ Deployment::Deployment(DeploymentConfig config)
                  "timeline window must be at least one TTI");
     telemetry::TimeSeriesRecorder::Config rc;
     rc.window = config_.timeline.window;
-    rc.history = config_.timeline.history;
     recorder_ = std::make_unique<telemetry::TimeSeriesRecorder>(
         telemetry::registry(), rc);
     if (!config_.timeline.timeline_out.empty())
       recorder_->open_jsonl(config_.timeline.timeline_out);
-    std::vector<telemetry::SloSpec> slos = config_.timeline.slos;
-    if (slos.empty() && config_.timeline.include_default_slos)
-      slos = telemetry::default_deployment_slos();
-    if (!slos.empty())
-      slo_engine_ = std::make_unique<telemetry::SloEngine>(
-          telemetry::registry(), std::move(slos));
+    slo_engine_ = std::make_unique<telemetry::SloEngine>(
+        telemetry::registry(), telemetry::default_deployment_slos());
     telemetry::FlightRecorder::Config fc;
     fc.out_dir = config_.timeline.postmortem_dir;
-    fc.max_windows = config_.timeline.flight_windows;
-    fc.max_dumps = config_.timeline.max_postmortems;
     flight_ = std::make_unique<telemetry::FlightRecorder>(
         *recorder_, &telemetry::spans(), fc);
     engine_.schedule_at(config_.timeline.window, [this] {
@@ -440,8 +433,7 @@ void Deployment::tick() {
       // the deadline, and settle its HARQ debt honestly instead of
       // letting it rot in a queue and spawn a retransmission storm.
       const auto estimated_exec = static_cast<sim::Time>(
-          (executor_->pending_gops(server) + job.total_gops()) /
-          (config_.server.gops_per_tti() * executor_->speed_factor(server)) *
+          drain_ttis(server, job.total_gops()) *
           static_cast<double>(sim::kTti));
       if (job.release + estimated_exec > job.deadline) {
         ++kpis_.shed_subframes;
@@ -726,10 +718,8 @@ sim::Time Deployment::admission_exec_estimate(int server,
   // widest parallelism the executor can grant it (a job is not infinitely
   // divisible — max_job_parallelism caps its fan-out, so a single heavy
   // decode can be infeasible even on an idle server).
+  const double drain = drain_ttis(server, job_gops);
   const double speed = executor_->speed_factor(server);
-  const double drain =
-      (executor_->pending_gops(server) + job_gops) /
-      (config_.server.gops_per_tti() * speed);
   const auto width = static_cast<double>(std::min(
       config_.server.cores, std::max(1, config_.server.max_job_parallelism)));
   // gops_per_core is Gop/s; * 1e-3 converts to Gop per 1 ms TTI.
@@ -737,6 +727,11 @@ sim::Time Deployment::admission_exec_estimate(int server,
       job_gops / (config_.server.gops_per_core * 1e-3 * width * speed);
   return static_cast<sim::Time>(std::max(drain, solo) *
                                 static_cast<double>(sim::kTti));
+}
+
+double Deployment::drain_ttis(int server, double job_gops) const {
+  return (executor_->pending_gops(server) + job_gops) /
+         (config_.server.gops_per_tti() * executor_->speed_factor(server));
 }
 
 void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
@@ -767,8 +762,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
     // breaks a retransmission storm: without it every miss re-enters the
     // saturated queue and the overload sustains itself.
     const auto estimated_exec = static_cast<sim::Time>(
-        (executor_->pending_gops(target) + retx.total_gops()) /
-        (config_.server.gops_per_tti() * executor_->speed_factor(target)) *
+        drain_ttis(target, retx.total_gops()) *
         static_cast<double>(sim::kTti));
     if (retx.release + estimated_exec > retx.deadline) {
       ++kpis_.shed_subframes;

@@ -51,23 +51,12 @@ struct TimelineConfig {
   /// Window length in simulated time (each window closes with a registry
   /// snapshot diff).
   sim::Time window = 100 * sim::kMillisecond;
-  /// Closed windows kept resident (the flight recorder's black box depth
-  /// draws from this ring).
-  std::size_t history = 128;
   /// JSONL stream of closed windows ("" = in-memory only).
   std::string timeline_out;
   /// Directory for flight-recorder post-mortems ("" = no dumps). Dumps
-  /// fire on SLO burn-rate trips, ladder quarantines, and explicit
-  /// trigger_postmortem() calls (run aborts).
+  /// fire on default_deployment_slos() burn-rate trips, ladder
+  /// quarantines, and explicit trigger_postmortem() calls (run aborts).
   std::string postmortem_dir;
-  /// Windows included in each post-mortem.
-  std::size_t flight_windows = 32;
-  /// Post-mortem dump budget for the run.
-  std::size_t max_postmortems = 4;
-  /// Evaluate default_deployment_slos() when `slos` is empty.
-  bool include_default_slos = true;
-  /// Explicit objectives (overrides the defaults when non-empty).
-  std::vector<telemetry::SloSpec> slos;
 };
 
 struct DeploymentConfig {
@@ -347,6 +336,9 @@ class Deployment {
   /// limit). Used by the computational-outage test in tick() and the
   /// HARQ storm-breaker.
   sim::Time admission_exec_estimate(int server, double job_gops) const;
+  /// Backlog-drain bound in TTIs: `server`'s queued work plus `job_gops`
+  /// at its whole-server (speed-adjusted) throughput.
+  double drain_ttis(int server, double job_gops) const;
   void close_energy_interval();
   void on_server_fault(int server_id, faults::FaultKind kind);
   void on_server_recovery(int server_id, faults::FaultKind kind);

@@ -6,20 +6,20 @@
 /// The engine owns a priority queue of (time, sequence, callback) events.
 /// Ties at the same timestamp are broken by insertion order, which makes
 /// whole-cluster simulations reproducible run to run. Handlers may schedule
-/// further events and cancel pending ones through the returned EventId.
+/// further events. There is no cancellation: an owner whose event went
+/// stale (a completion of a job a failure already dropped, a deadline of a
+/// migration already resolved) recognises it by its own id or token when
+/// it fires and returns at once. A stale event therefore still fires,
+/// counts in executed_events(), and is drained by run().
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace pran::sim {
-
-/// Identifies a scheduled event so it can be cancelled.
-using EventId = std::uint64_t;
 
 class Engine {
  public:
@@ -29,20 +29,16 @@ class Engine {
   Time now() const noexcept { return now_; }
 
   /// Schedules `handler` to fire at absolute time `at` (>= now()).
-  EventId schedule_at(Time at, Handler handler);
+  void schedule_at(Time at, Handler handler);
 
   /// Schedules `handler` to fire `delay` (>= 0) after now().
-  EventId schedule_in(Time delay, Handler handler);
+  void schedule_in(Time delay, Handler handler);
 
-  /// Cancels a pending event. Returns false if the event already fired or
-  /// was already cancelled (cancel is idempotent).
-  bool cancel(EventId id);
+  /// True if any events remain, stale ones included.
+  bool has_pending() const noexcept { return !queue_.empty(); }
 
-  /// True if any non-cancelled events remain.
-  bool has_pending() const noexcept { return !live_.empty(); }
-
-  /// Number of pending (non-cancelled) events.
-  std::size_t pending_count() const noexcept { return live_.size(); }
+  /// Number of pending events, stale ones included.
+  std::size_t pending_count() const noexcept { return queue_.size(); }
 
   /// Runs the next event; returns false when the queue is empty.
   bool step();
@@ -60,28 +56,24 @@ class Engine {
  private:
   struct Event {
     Time at;
-    EventId id;
+    std::uint64_t seq;
     Handler handler;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among simultaneous events
+      return a.seq > b.seq;  // FIFO among simultaneous events
     }
   };
 
-  /// Fires the earliest live event if it is due by `limit`, first popping
-  /// queue heads that are no longer live (cancelled). Returns false when no
-  /// live event is due.
+  /// Pops and runs the queue head if it is due by `limit`. Returns false
+  /// when no event is due.
   bool fire_next(Time limit);
 
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  /// Scheduled and neither fired nor cancelled. queue_ may still hold
-  /// cancelled events; they are popped once they reach its head.
-  std::unordered_set<EventId> live_;
 };
 
 }  // namespace pran::sim

@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/narrow.hpp"
@@ -13,18 +12,12 @@ std::uint32_t Trace::intern(const std::string& category) {
   if (it != category_ids_.end()) return it->second;
   const auto id = pran::narrow_cast<std::uint32_t>(category_ids_.size());
   category_ids_.emplace(category, id);
-  const bool enabled =
-      enabled_categories_.empty() ||
-      std::find(enabled_categories_.begin(), enabled_categories_.end(),
-                category) != enabled_categories_.end();
-  category_enabled_.push_back(enabled ? 1 : 0);
   category_counts_.push_back(0);
   return id;
 }
 
 void Trace::emit(Time at, std::string category, std::string message) {
   const std::uint32_t id = intern(category);
-  if (category_enabled_[id] == 0) return;
   TraceRecord record{at, id, std::move(category), std::move(message)};
   if (sink_ != nullptr) sink_->on_record(record);
   if (max_records_ != 0 && records_.size() >= max_records_) {
@@ -35,35 +28,8 @@ void Trace::emit(Time at, std::string category, std::string message) {
   records_.push_back(std::move(record));
 }
 
-void Trace::set_enabled_categories(std::vector<std::string> categories) {
-  enabled_categories_ = std::move(categories);
-  for (const auto& [name, id] : category_ids_)
-    category_enabled_[id] =
-        (enabled_categories_.empty() ||
-         std::find(enabled_categories_.begin(), enabled_categories_.end(),
-                   name) != enabled_categories_.end())
-            ? 1
-            : 0;
-}
-
 void Trace::set_capacity(std::size_t max_records) noexcept {
   max_records_ = max_records;
-}
-
-void Trace::clear() noexcept {
-  records_.clear();
-  dropped_ = 0;
-  std::fill(category_counts_.begin(), category_counts_.end(), 0);
-}
-
-std::vector<TraceRecord> Trace::filter(const std::string& category) const {
-  std::vector<TraceRecord> out;
-  const auto it = category_ids_.find(category);
-  if (it == category_ids_.end()) return out;
-  const std::uint32_t id = it->second;
-  for (const auto& r : records_)
-    if (r.category_id == id) out.push_back(r);
-  return out;
 }
 
 std::size_t Trace::count(const std::string& category) const {

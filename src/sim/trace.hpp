@@ -2,17 +2,16 @@
 
 /// \file trace.hpp
 /// Structured event tracing for simulations: components append typed records
-/// (category, time, message) that tests and examples can filter. Keeps the
-/// engine itself free of I/O.
+/// (category, time, message) that tests and examples can count and render.
+/// Keeps the engine itself free of I/O.
 ///
-/// Categories are interned: the category string is hashed once per emit
-/// (not scanned linearly against the enabled list), and records carry a
-/// dense category id alongside the name, so count() is O(1) and filter()
-/// compares integers. Retention is capped (set_capacity): once the cap is
-/// reached new records are dropped and counted in dropped(), so a long
-/// simulation cannot grow the trace without bound. An optional TraceSink
-/// observes every enabled record — even capacity-dropped ones — which is
-/// how records reach the telemetry layer without sim/ depending on it.
+/// Categories are interned: the category string is hashed once per emit,
+/// and records carry a dense category id alongside the name, so count() is
+/// O(1). Retention is capped (set_capacity): once the cap is reached new
+/// records are dropped and counted in dropped(), so a long simulation
+/// cannot grow the trace without bound. An optional TraceSink observes
+/// every record — even capacity-dropped ones — which is how records reach
+/// the telemetry layer without sim/ depending on it.
 
 #include <cstdint>
 #include <string>
@@ -30,7 +29,7 @@ struct TraceRecord {
   std::string message;
 };
 
-/// Observer for enabled trace records; implemented outside sim/ (the
+/// Observer for trace records; implemented outside sim/ (the
 /// telemetry bridge) so the engine stays dependency-free.
 class TraceSink {
  public:
@@ -38,30 +37,23 @@ class TraceSink {
   virtual void on_record(const TraceRecord& record) = 0;
 };
 
-/// Append-only trace with category filtering. Not thread-safe; the
+/// Append-only trace with per-category counts. Not thread-safe; the
 /// simulation is single-threaded by design.
 class Trace {
  public:
-  /// Records one entry if the category is enabled (all are by default).
+  /// Records one entry.
   void emit(Time at, std::string category, std::string message);
-
-  /// Restricts recording to the given categories; empty list re-enables all.
-  void set_enabled_categories(std::vector<std::string> categories);
 
   /// Caps retained records; 0 means unlimited (the default). Records
   /// emitted past the cap are dropped (newest-dropped) and counted.
   void set_capacity(std::size_t max_records) noexcept;
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Installs a non-owning observer of every enabled record (nullptr to
+  /// Installs a non-owning observer of every record (nullptr to
   /// detach). The sink sees records even when the capacity cap drops them.
   void set_sink(TraceSink* sink) noexcept { sink_ = sink; }
 
   const std::vector<TraceRecord>& records() const noexcept { return records_; }
-  void clear() noexcept;
-
-  /// All records in a category, in emission order.
-  std::vector<TraceRecord> filter(const std::string& category) const;
 
   /// Number of *retained* records in a category.
   std::size_t count(const std::string& category) const;
@@ -78,9 +70,7 @@ class Trace {
   TraceSink* sink_ = nullptr;
 
   std::unordered_map<std::string, std::uint32_t> category_ids_;
-  std::vector<char> category_enabled_;  ///< Indexed by category id.
-  std::vector<std::size_t> category_counts_;
-  std::vector<std::string> enabled_categories_;  ///< Empty = all enabled.
+  std::vector<std::size_t> category_counts_;  ///< Indexed by category id.
 };
 
 }  // namespace pran::sim

@@ -139,6 +139,29 @@ TEST(Executor, RestoreAllowsNewWork) {
   EXPECT_THROW(ex.restore_server(0), pran::ContractViolation);
 }
 
+TEST(Executor, StaleCompletionAfterFailAndRestoreIsIgnored) {
+  sim::Engine engine;
+  Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  // 1 ms job from t=0; the failure at 0.5 ms drops it, but its completion
+  // event still fires at 1 ms — while the second job holds the core.
+  ex.submit(0, make_job(0, 0.1, 0, 10 * sim::kMillisecond));
+  engine.schedule_at(sim::kMillisecond / 2, [&] { ex.fail_server(0); });
+  const sim::Time restart = 6 * sim::kMillisecond / 10;
+  engine.schedule_at(restart, [&] {
+    ex.restore_server(0);
+    ex.submit(0, make_job(1, 0.1, restart, 10 * sim::kMillisecond));
+  });
+  engine.run();
+  ASSERT_EQ(ex.outcomes().size(), 2u);
+  EXPECT_TRUE(ex.outcomes()[0].dropped);
+  EXPECT_EQ(ex.outcomes()[1].start, restart);
+  EXPECT_EQ(ex.outcomes()[1].finish, restart + sim::kMillisecond);
+  const auto stats = ex.stats();
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_DOUBLE_EQ(stats.total_busy_seconds, 1e-3);
+}
+
 TEST(Executor, FailTwiceIsRejected) {
   sim::Engine engine;
   Executor ex(engine, {one_core()}, SchedPolicy::kEdf);
@@ -167,6 +190,16 @@ TEST(Executor, UtilizationAccountsBusyTime) {
   engine.run();
   // 4 ms of core time over a 10 ms window on 2 cores = 0.2.
   EXPECT_NEAR(ex.utilization(0, 10 * sim::kMillisecond), 0.2, 1e-9);
+}
+
+TEST(Executor, UtilizationRejectsWindowBeforeNow) {
+  sim::Engine engine;
+  Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  ex.submit(0, make_job(0, 0.2, 0, 100 * sim::kMillisecond));  // 2 ms
+  engine.run();
+  // The busy tally holds whole jobs, so it cannot be cut at a past edge.
+  EXPECT_THROW(ex.utilization(0, sim::kMillisecond), pran::ContractViolation);
+  EXPECT_DOUBLE_EQ(ex.utilization(0, 2 * sim::kMillisecond), 1.0);
 }
 
 TEST(Executor, PerServerStats) {

