@@ -1,10 +1,12 @@
 // E10 — MILP solver scaling and the LP-relaxation bound.
 //
-// Why PRAN needs the heuristic at all: branch-and-bound cost explodes with
-// instance size even on bin-packing-style placements, while the LP
-// relaxation (the bound the search prunes against) is loose for activation
-// variables. Printed per size: model shape, nodes, pivots, solve time,
-// LP bound vs integer optimum.
+// How far the exact placer scales once the model is right: the load-cover
+// row (sum_s y_s >= k) lifts the LP relaxation — the bound the search
+// prunes against — to the fewest servers that can hold the demand, and
+// first-fit's answer seeds the incumbent. When first-fit reaches that
+// bound the root relaxation proves it optimal, so the cost is one LP solve
+// on the dense tableau. Printed per size: model shape, nodes, pivots,
+// solve time, LP bound vs integer optimum.
 
 #include <cstdio>
 
@@ -22,7 +24,7 @@ int main() {
                "ilp_obj", "lp_gap_pct", "nodes", "lp_pivots", "milp_ms",
                "status"});
 
-  for (int cells : {4, 6, 8, 10, 12, 14, 16}) {
+  for (int cells : {4, 6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64}) {
     const int servers = cells / 2 + 2;
     Rng rng(500 + static_cast<std::uint64_t>(cells));
     core::PlacementProblem p;
@@ -40,7 +42,10 @@ int main() {
     lp::MilpOptions opts;
     opts.time_limit_s = 30.0;
     opts.max_nodes = 2000000;
-    const auto milp = lp::MilpSolver{opts}.solve(model);
+    const auto ffd = core::FirstFitPlacer{}.place(p);
+    const auto milp = lp::MilpSolver{opts}.solve(
+        model, ffd.feasible ? core::placement_point(p, ffd.server_of_cell)
+                            : std::vector<double>{});
 
     const char* status = "?";
     switch (milp.status) {
@@ -76,8 +81,8 @@ int main() {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "reading: the LP bound (fractional activations) sits below the "
-      "integer optimum, so nodes grow quickly with size — hence the "
-      "controller's heuristic\n");
+      "reading: with the load-cover row the LP bound meets the integer "
+      "optimum, and the first-fit start closes the root; solve time is "
+      "the dense root LP, which grows with the tableau\n");
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -110,6 +111,41 @@ bool placement_survives_any_single_failure(
   return true;
 }
 
+int load_cover_servers(const PlacementProblem& problem) {
+  validate(problem);
+  double demand = 0.0;
+  for (const auto& c : problem.cells) demand += c.gops_per_tti;
+  std::vector<double> budgets;
+  for (std::size_t s = 0; s < problem.servers.size(); ++s)
+    budgets.push_back(budget(problem, s));
+  std::sort(budgets.begin(), budgets.end(), std::greater<>());
+  // placement_fits lets each server run 1e-9 over its budget, so k servers
+  // hold at most the k largest budgets plus k * 1e-9.
+  double covered = 0.0;
+  int k = 0;
+  while (covered + 1e-9 * k < demand) {
+    if (static_cast<std::size_t>(k) == budgets.size()) return k + 1;
+    covered += budgets[static_cast<std::size_t>(k++)];
+  }
+  return k;
+}
+
+std::vector<double> placement_point(const PlacementProblem& problem,
+                                    const std::vector<int>& assignment) {
+  const std::size_t C = problem.cells.size();
+  const std::size_t S = problem.servers.size();
+  PRAN_REQUIRE(assignment.size() == C, "assignment size mismatch");
+  std::vector<double> x(C * S + S, 0.0);
+  for (std::size_t c = 0; c < C; ++c) {
+    const int s = assignment[c];
+    PRAN_REQUIRE(s >= 0 && static_cast<std::size_t>(s) < S,
+                 "assignment references an unknown server");
+    x[c * S + static_cast<std::size_t>(s)] = 1.0;
+    x[C * S + static_cast<std::size_t>(s)] = 1.0;
+  }
+  return x;
+}
+
 lp::Model build_placement_model(const PlacementProblem& problem) {
   validate(problem);
   const std::size_t C = problem.cells.size();
@@ -146,6 +182,14 @@ lp::Model build_placement_model(const PlacementProblem& problem) {
     model.add_constraint("cap_s" + std::to_string(s), load <= 0.0);
   }
 
+  // Load cover: the active budgets must hold the whole demand, so at least
+  // k servers are on. The LP relaxation alone only asks for
+  // sum_s load_s / budget_s of them, which leaves most of the root gap.
+  const int k = load_cover_servers(problem);
+  lp::LinearExpr active;
+  for (std::size_t s = 0; s < S; ++s) active += lp::LinearExpr(y[s]);
+  model.add_constraint("cover", active >= static_cast<double>(k));
+
   // Survivable mode (aggregate N+1 redundancy): for every server s, the
   // headroom capacity of the *other* active servers must cover the whole
   // demand — since all cells are placed, load excluding s plus load on s
@@ -165,11 +209,20 @@ lp::Model build_placement_model(const PlacementProblem& problem) {
     }
   }
 
-  // Symmetry breaking for runs of identical servers: y_s >= y_{s+1}.
+  // Symmetry breaking for runs of identical servers: y_s >= y_{s+1}. Once
+  // a previous placement is priced, a server that hosted cells is no longer
+  // interchangeable with its twin, so only pairs that both hosted none get
+  // the row.
+  std::vector<bool> hosted(S, false);
+  if (problem.previous && problem.migration_weight > 0.0)
+    for (int prev : *problem.previous)
+      if (prev >= 0 && static_cast<std::size_t>(prev) < S)
+        hosted[static_cast<std::size_t>(prev)] = true;
   for (std::size_t s = 0; s + 1 < S; ++s) {
     const auto& a = problem.servers[s];
     const auto& b = problem.servers[s + 1];
-    if (a.cores == b.cores && a.gops_per_core == b.gops_per_core) {
+    if (a.cores == b.cores && a.gops_per_core == b.gops_per_core &&
+        !hosted[s] && !hosted[s + 1]) {
       model.add_constraint(
           "sym_s" + std::to_string(s),
           lp::LinearExpr(y[s]) - lp::LinearExpr(y[s + 1]) >= 0.0);
@@ -204,7 +257,12 @@ PlacementResult MilpPlacer::place(const PlacementProblem& problem) {
   if (problem.survivable && S < 2) return {};  // nothing can survive a loss
 
   const lp::Model model = build_placement_model(problem);
-  const auto milp = lp::MilpSolver{options_}.solve(model);
+  // Sticky first-fit's answer seeds the incumbent: when it already meets
+  // the load cover, the root relaxation proves it optimal.
+  const PlacementResult ffd = FirstFitPlacer(/*sticky=*/true).place(problem);
+  const auto milp = lp::MilpSolver{options_}.solve(
+      model, ffd.feasible ? placement_point(problem, ffd.server_of_cell)
+                          : std::vector<double>{});
 
   PlacementResult result;
   result.solve_seconds = milp.solve_seconds;

@@ -17,7 +17,12 @@
 ///     minimise   sum_s y_s + w * sum_c move_c
 ///     subject to sum_s x_{c,s} = 1                      (every cell placed)
 ///                sum_c d_c x_{c,s} <= h B_s y_s         (capacity)
+///                sum_s y_s >= k                         (load cover)
 ///                x, y binary; move_c >= x changed vs. the previous epoch
+///
+/// k (load_cover_servers) is the fewest servers whose budgets, largest
+/// first, hold the total demand. The cover row is implied by the integer
+/// program but not by its LP relaxation, where it closes the root gap.
 ///
 /// This is variable-cost bin packing — NP-hard (the calibration's
 /// "workshop-grade ILP"). MilpPlacer solves it exactly with the in-repo
@@ -94,9 +99,20 @@ std::vector<double> server_loads(const PlacementProblem& problem,
 bool placement_survives_any_single_failure(const PlacementProblem& problem,
                                            const std::vector<int>& assignment);
 
+/// The load-cover bound k: the fewest servers, taken largest headroom budget
+/// first, whose budgets cover the total demand (0 for zero demand). Returns
+/// servers + 1 when even every server together cannot.
+int load_cover_servers(const PlacementProblem& problem);
+
 /// Builds the MILP formulation (exposed for tests and the solver-scaling
 /// bench). Variables are ordered x_{c,s} row-major, then y_s.
 lp::Model build_placement_model(const PlacementProblem& problem);
+
+/// The point of build_placement_model(problem)'s variable space that
+/// `assignment` (a server per cell) encodes, with y_s = 1 exactly for the
+/// servers that host a cell: a start for lp::MilpSolver::solve.
+std::vector<double> placement_point(const PlacementProblem& problem,
+                                    const std::vector<int>& assignment);
 
 class Placer {
  public:
@@ -105,7 +121,7 @@ class Placer {
   virtual PlacementResult place(const PlacementProblem& problem) = 0;
 };
 
-/// Exact solver via branch and bound.
+/// Exact solver via branch and bound, seeded with sticky first-fit's answer.
 class MilpPlacer : public Placer {
  public:
   explicit MilpPlacer(lp::MilpOptions options = {});

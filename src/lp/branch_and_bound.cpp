@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "common/check.hpp"
-#include "lp/presolve.hpp"
 #include "telemetry/clock.hpp"
 
 namespace pran::lp {
@@ -37,33 +36,10 @@ struct WorseBound {
   }
 };
 
-/// Applies a node's bound changes to a scratch copy of the root model.
-void apply_changes(Model& model, const std::vector<BoundChange>& changes) {
-  for (const auto& ch : changes) model.set_bounds(ch.var, ch.lower, ch.upper);
-}
-
 }  // namespace
 
-MilpResult MilpSolver::solve(const Model& model) const {
-  PRAN_REQUIRE(model.num_variables() > 0, "model has no variables");
-  if (!options_.presolve) return solve_impl(model);
-
-  const PresolveResult pre = ::pran::lp::presolve(model);
-  if (pre.infeasible) {
-    MilpResult result;
-    result.status = MilpStatus::kInfeasible;
-    return result;
-  }
-  MilpResult result = solve_impl(*pre.model);
-  if (result.has_solution()) {
-    result.x = pre.restore(result.x);
-    // Objective/bound already include the substituted constants (the
-    // reduced model's objective carries them).
-  }
-  return result;
-}
-
-MilpResult MilpSolver::solve_impl(const Model& root) const {
+MilpResult MilpSolver::solve(const Model& root,
+                             const std::vector<double>& start) const {
   PRAN_REQUIRE(root.num_variables() > 0, "model has no variables");
   const telemetry::Stopwatch stopwatch;
   auto elapsed = [&] { return stopwatch.elapsed_seconds(); };
@@ -92,6 +68,21 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
       incumbent_x = x;
     }
   };
+  if (root.is_feasible(start, 1e-6)) try_incumbent(start);
+
+  // One scratch copy of the root for the whole search. Each node resets
+  // the bounds the previous node tightened, then applies its own changes.
+  Model scratch = root;
+  std::vector<BoundChange> applied;
+  auto load_node = [&](const std::vector<BoundChange>& changes) {
+    for (const auto& ch : applied) {
+      const auto& info = root.variable(ch.var);
+      scratch.set_bounds(ch.var, info.lower, info.upper);
+    }
+    for (const auto& ch : changes)
+      scratch.set_bounds(ch.var, ch.lower, ch.upper);
+    applied = changes;
+  };
 
   std::priority_queue<Node, std::vector<Node>, WorseBound> open;
   open.push(Node{{}, -std::numeric_limits<double>::infinity(), 0});
@@ -113,8 +104,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
     // the incumbent may have improved since this node was pushed).
     if (node.bound >= incumbent_internal - options_.int_tol) continue;
 
-    Model scratch = root;
-    apply_changes(scratch, node.changes);
+    load_node(node.changes);
 
     const LpResult relax = lp_solver.solve(scratch);
     ++result.nodes;
@@ -142,7 +132,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
     for (int j : int_vars) {
       const double v = relax.x[static_cast<std::size_t>(j)];
       const double frac = std::abs(v - std::round(v));
-      const double score = std::min(frac, 1.0 - frac) + frac * 0.0;
+      const double score = std::min(frac, 1.0 - frac);
       if (frac > options_.int_tol && score > best_frac_score) {
         best_frac_score = score;
         branch_var = j;

@@ -5,8 +5,10 @@
 /// substitute for the commercial solver the paper used. Best-first search on
 /// the LP-relaxation bound, most-fractional branching, and a
 /// round-and-check primal heuristic that usually finds an incumbent at the
-/// root. Exact on the small placement instances PRAN's controller solves;
-/// node/time limits turn it into an anytime solver with a reported bound.
+/// root; a caller-supplied feasible start point (e.g. a heuristic's answer)
+/// seeds the incumbent before the root is solved. Exact on the small
+/// placement instances PRAN's controller solves; node/time limits turn it
+/// into an anytime solver with a reported bound.
 
 #include <vector>
 
@@ -28,8 +30,6 @@ struct MilpOptions {
   long max_nodes = 200000;
   double time_limit_s = 60.0;
   bool rounding_heuristic = true;
-  /// Run the lp/presolve.hpp reductions before branching.
-  bool presolve = true;
   SimplexOptions lp;
 };
 
@@ -54,11 +54,13 @@ class MilpSolver {
   explicit MilpSolver(MilpOptions options = {}) : options_(options) {}
 
   /// Solves `model` to optimality or until a limit fires. The model is
-  /// copied internally; the argument is not modified.
-  MilpResult solve(const Model& model) const;
+  /// copied once internally; the argument is not modified. `start`, when it
+  /// is a feasible point of `model` (within 1e-6), is the first incumbent;
+  /// any other value, the empty default included, is ignored.
+  MilpResult solve(const Model& model,
+                   const std::vector<double>& start = {}) const;
 
  private:
-  MilpResult solve_impl(const Model& model) const;
   MilpOptions options_;
 };
 

@@ -1,10 +1,12 @@
 #pragma once
 
 /// \file presolve.hpp
-/// Lightweight MILP presolve, run before branch and bound.
+/// Lightweight MILP presolve. MilpSolver does not call it: on PRAN's
+/// placement models it removes nothing and costs more than it saves. It
+/// stays as a standalone pass for models that do carry fixed variables or
+/// redundant rows; solve its reduced model and lift the answer back.
 ///
-/// Implements the standard cheap reductions that matter on placement
-/// instances:
+/// Implements the standard cheap reductions:
 ///  * substitute variables whose bounds are equal (fixed variables) into
 ///    the constraints and objective;
 ///  * round fractional bounds of integer variables inward;

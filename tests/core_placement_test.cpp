@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/placement.hpp"
@@ -93,6 +95,44 @@ TEST(MilpPlacer, MigrationWeightDoesNotSacrificeServers) {
   EXPECT_EQ(r.active_servers(), 2);
 }
 
+TEST(MilpPlacer, SymmetryRowsKeepPricedPreviousServer) {
+  // Two identical servers, both cells last on server 1. Staying costs one
+  // server and no migration; a y_0 >= y_1 row would force both cells onto
+  // server 0 (two migrations) and still report it optimal.
+  PlacementProblem p;
+  p.headroom = 1.0;
+  p.cells = {{0, 0.1, 0.1}, {1, 0.1, 0.1}};
+  p.servers = {server(1.0), server(1.0)};
+  p.previous = std::vector<int>{1, 1};
+  p.migration_weight = 0.01;
+  const auto r = MilpPlacer{}.place(p);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.server_of_cell, (std::vector<int>{1, 1}));
+  EXPECT_EQ(r.migrations_from(*p.previous), 0);
+}
+
+TEST(MilpPlacer, ClosesE10SizedInstanceInFewNodes) {
+  // E10's 32-cell instance (uniform 0.1-0.5 demands on 18 unit servers):
+  // the load cover plus the first-fit start leave nothing to branch on.
+  Rng rng(532);
+  PlacementProblem p;
+  p.headroom = 0.85;
+  for (int c = 0; c < 32; ++c) {
+    const double demand = rng.uniform(0.1, 0.5);
+    p.cells.push_back({c, demand, demand * 1.5});
+  }
+  p.servers.assign(18, server(1.0));
+  lp::MilpOptions opts;
+  opts.max_nodes = 8;
+  const auto r = MilpPlacer{opts}.place(p);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_LE(r.milp_nodes, 8);
+  EXPECT_EQ(r.active_servers(), load_cover_servers(p));
+  EXPECT_TRUE(placement_fits(p, r.server_of_cell));
+}
+
 TEST(FirstFitPlacer, ProducesFeasiblePacking) {
   const auto p = small_problem();
   FirstFitPlacer placer;
@@ -164,9 +204,54 @@ TEST(BuildModel, ShapesMatchFormulation) {
   const auto model = build_placement_model(p);
   // 4 cells * 4 servers + 4 activations.
   EXPECT_EQ(model.num_variables(), 20);
-  // 4 assignment + 4 capacity + 3 symmetry rows.
-  EXPECT_EQ(model.num_constraints(), 11);
+  // 4 assignment + 4 capacity + 1 load-cover + 3 symmetry rows.
+  EXPECT_EQ(model.num_constraints(), 12);
   EXPECT_EQ(model.num_integer_variables(), 20);
+}
+
+TEST(BuildModel, SymmetryRowsSkipServersThatHostedCells) {
+  auto p = small_problem();
+  p.previous = std::vector<int>{1, 1, 1, 1};
+  // Unpriced, the previous placement leaves the servers interchangeable.
+  EXPECT_EQ(build_placement_model(p).num_constraints(), 12);
+  // Priced, server 1 is distinct: only the 2-3 pair keeps its row.
+  p.migration_weight = 0.01;
+  EXPECT_EQ(build_placement_model(p).num_constraints(), 10);
+}
+
+TEST(LoadCover, FewestServersLargestBudgetFirst) {
+  PlacementProblem p;
+  p.headroom = 1.0;
+  p.servers = {server(1.0), server(0.5), server(2.0)};
+  const auto with_demand = [&](std::vector<double> demands) {
+    p.cells.clear();
+    for (std::size_t c = 0; c < demands.size(); ++c)
+      p.cells.push_back({static_cast<int>(c), demands[c], demands[c]});
+    return load_cover_servers(p);
+  };
+  EXPECT_EQ(with_demand({0.0, 0.0}), 0);
+  EXPECT_EQ(with_demand({0.3}), 1);
+  EXPECT_EQ(with_demand({1.0, 1.0}), 1);   // exactly the 2.0 budget
+  EXPECT_EQ(with_demand({1.0, 1.2}), 2);   // 2.0 + 1.0
+  EXPECT_EQ(with_demand({1.5, 1.5}), 2);
+  EXPECT_EQ(with_demand({1.5, 1.6}), 3);   // 2.0 + 1.0 + 0.5
+  EXPECT_EQ(with_demand({1.8, 1.8}), 4);   // more than every server holds
+  p.headroom = 0.5;                        // budgets 1.0, 0.5, 0.25
+  EXPECT_EQ(with_demand({0.6, 0.6}), 2);
+  EXPECT_EQ(with_demand({0.8, 0.8}), 3);
+}
+
+TEST(LoadCover, ModelRowUsesTheBound) {
+  auto p = small_problem();  // demand 1.8 on unit budgets
+  const auto model = build_placement_model(p);
+  const auto& rows = model.constraints();
+  const auto cover = std::find_if(rows.begin(), rows.end(), [](const auto& r) {
+    return r.name == "cover";
+  });
+  ASSERT_NE(cover, rows.end());
+  EXPECT_EQ(cover->constraint.relation, lp::Relation::kGreaterEqual);
+  EXPECT_DOUBLE_EQ(cover->constraint.rhs, 2.0);
+  EXPECT_EQ(cover->constraint.lhs.terms().size(), p.servers.size());
 }
 
 TEST(BuildModel, ValidatesInput) {

@@ -152,5 +152,72 @@ TEST(BranchAndBound, ReportsNodeAndIterationCounts) {
   EXPECT_GE(r.solve_seconds, 0.0);
 }
 
+/// max 10a + 13b + 7c, 3a + 4b + 2c <= 6 (optimum 20 at b = c = 1).
+Model small_knapsack() {
+  Model m;
+  const auto a = m.add_binary("a");
+  const auto b = m.add_binary("b");
+  const auto c = m.add_binary("c");
+  m.add_constraint("cap", 3.0 * LinearExpr(a) + 4.0 * LinearExpr(b) +
+                              2.0 * LinearExpr(c) <=
+                          6.0);
+  m.set_objective(Sense::kMaximize, 10.0 * LinearExpr(a) +
+                                        13.0 * LinearExpr(b) +
+                                        7.0 * LinearExpr(c));
+  return m;
+}
+
+TEST(BranchAndBound, InfeasibleStartIsIgnored) {
+  const Model m = small_knapsack();
+  const auto plain = MilpSolver{}.solve(m);
+  // Over capacity, fractional, and of the wrong dimension.
+  for (const std::vector<double>& start :
+       {std::vector<double>{1, 1, 1}, std::vector<double>{0.5, 0, 0},
+        std::vector<double>{0, 1}}) {
+    const auto r = MilpSolver{}.solve(m, start);
+    ASSERT_EQ(r.status, MilpStatus::kOptimal);
+    EXPECT_EQ(r.x, plain.x);
+    EXPECT_EQ(r.nodes, plain.nodes);
+  }
+  // With the search cut to nothing, an ignored start leaves no incumbent.
+  MilpOptions opts;
+  opts.max_nodes = 0;
+  EXPECT_EQ(MilpSolver{opts}.solve(m, {1, 1, 1}).status, MilpStatus::kLimit);
+}
+
+TEST(BranchAndBound, FeasibleStartNeverWorsensTheObjective) {
+  const Model m = small_knapsack();
+  for (const std::vector<double>& start :
+       {std::vector<double>{0, 0, 0}, std::vector<double>{1, 0, 1},
+        std::vector<double>{0, 1, 1}}) {
+    const auto r = MilpSolver{}.solve(m, start);
+    ASSERT_EQ(r.status, MilpStatus::kOptimal);
+    EXPECT_NEAR(r.objective, 20.0, kTol);
+    EXPECT_TRUE(m.is_feasible(r.x));
+    // With no search at all, the start itself is the incumbent.
+    MilpOptions opts;
+    opts.max_nodes = 0;
+    const auto seeded = MilpSolver{opts}.solve(m, start);
+    ASSERT_EQ(seeded.status, MilpStatus::kFeasible);
+    EXPECT_EQ(seeded.x, start);
+    EXPECT_NEAR(seeded.objective, m.objective_value(start), kTol);
+  }
+}
+
+TEST(BranchAndBound, StartAtTheRootBoundClosesAtTheRoot) {
+  // min x + y, x + y >= 2, 2x <= 3, integers: the LP bound is 2, so a
+  // start of objective 2 is proven optimal by the root relaxation alone.
+  Model m;
+  const auto x = m.add_integer("x", 0, 5);
+  const auto y = m.add_integer("y", 0, 5);
+  m.add_constraint("cover", LinearExpr(x) + LinearExpr(y) >= 2.0);
+  m.add_constraint("cap", 2.0 * LinearExpr(x) <= 3.0);
+  m.set_objective(Sense::kMinimize, LinearExpr(x) + LinearExpr(y));
+  const auto r = MilpSolver{}.solve(m, {1, 1});
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 2.0, kTol);
+  EXPECT_EQ(r.nodes, 1);
+}
+
 }  // namespace
 }  // namespace pran::lp
