@@ -31,6 +31,10 @@ Result run(double gops_per_core, int max_parallelism, int ttis) {
 
   sim::Engine engine;
   cluster::Executor executor(engine, {server}, cluster::SchedPolicy::kEdf);
+  Samples latency;
+  executor.set_completion_callback([&latency](const cluster::JobOutcome& o) {
+    if (!o.dropped) latency.add(sim::to_seconds(o.latency()) * 1e3);
+  });
 
   std::vector<workload::TrafficModel> cells;
   std::vector<lte::SubframeFactory> factories;
@@ -52,9 +56,6 @@ Result run(double gops_per_core, int max_parallelism, int ttis) {
 
   Result result;
   result.miss_ratio = executor.stats().miss_ratio();
-  Samples latency;
-  for (const auto& o : executor.outcomes())
-    if (!o.dropped) latency.add(sim::to_seconds(o.latency()) * 1e3);
   if (!latency.empty()) result.p99_latency_ms = latency.quantile(0.99);
   return result;
 }

@@ -33,6 +33,16 @@ RunResult run(double load, pran::cluster::SchedPolicy policy, int ttis) {
 
   sim::Engine engine;
   cluster::Executor executor(engine, {server}, policy);
+  std::uint64_t done = 0, missed = 0, dl_done = 0, dl_missed = 0;
+  executor.set_completion_callback([&](const cluster::JobOutcome& o) {
+    if (o.dropped) return;
+    ++done;
+    if (o.missed_deadline()) ++missed;
+    if (o.job.direction == lte::Direction::kDownlink) {
+      ++dl_done;
+      if (o.missed_deadline()) ++dl_missed;
+    }
+  });
 
   std::vector<workload::TrafficModel> ul_cells;
   std::vector<workload::TrafficModel> dl_cells;
@@ -71,16 +81,6 @@ RunResult run(double load, pran::cluster::SchedPolicy policy, int ttis) {
   RunResult result;
   result.offered_utilization =
       total_gops / (static_cast<double>(ttis) * server.gops_per_tti());
-  std::uint64_t done = 0, missed = 0, dl_done = 0, dl_missed = 0;
-  for (const auto& o : executor.outcomes()) {
-    if (o.dropped) continue;
-    ++done;
-    if (o.missed_deadline()) ++missed;
-    if (o.job.direction == lte::Direction::kDownlink) {
-      ++dl_done;
-      if (o.missed_deadline()) ++dl_missed;
-    }
-  }
   if (done)
     result.miss_ratio =
         static_cast<double>(missed) / static_cast<double>(done);

@@ -28,6 +28,7 @@ int main() {
     config.seed = 31;
     config.start_hour = 11.0;
     config.day_compression = 60.0;
+    config.keep_outcome_log = true;
     core::Deployment d(config);
 
     d.run_for(500 * sim::kMillisecond);

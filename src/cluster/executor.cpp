@@ -43,7 +43,7 @@ Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
   for (auto& spec : specs) {
     PRAN_REQUIRE(spec.cores >= 1, "server needs at least one core");
     PRAN_REQUIRE(spec.gops_per_core > 0.0, "core capacity must be positive");
-    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0, {}});
+    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, {}});
   }
 }
 
@@ -86,21 +86,50 @@ int Executor::free_cores(const Server& s) const {
 
 void Executor::submit(int server_id, const lte::SubframeJob& job) {
   (void)server(server_id);  // validate id now, not at arrival
-  const std::uint64_t seq = submit_seq_++;
+  const std::uint32_t slot = park(server_id, submit_seq_++, job);
   const sim::Time arrival = std::max(job.release, engine_.now());
-  engine_.schedule_at(arrival, [this, server_id, job, seq] {
-    Server& s = servers_[static_cast<std::size_t>(server_id)];
-    if (s.failed) {
-      JobOutcome outcome;
-      outcome.job = job;
-      outcome.server_id = server_id;
-      outcome.dropped = true;
-      record(outcome);
-      return;
-    }
-    s.pending.emplace_back(seq, job);
-    dispatch(server_id);
-  });
+  engine_.schedule_at(arrival, [this, slot] { on_arrival(slot); });
+}
+
+std::uint32_t Executor::park(int server_id, std::uint64_t seq,
+                             const lte::SubframeJob& job) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Parked& p = slab_[slot];
+  p.job = job;
+  p.seq = seq;
+  p.server_id = server_id;
+  return slot;
+}
+
+JobOutcome Executor::release(std::uint32_t slot) {
+  Parked& p = slab_[slot];
+  JobOutcome outcome;
+  outcome.job = p.job;
+  outcome.server_id = p.server_id;
+  ++p.generation;  // events still naming the old generation go stale
+  free_slots_.push_back(slot);
+  return outcome;
+}
+
+void Executor::on_arrival(std::uint32_t slot) {
+  const Parked& p = slab_[slot];
+  const int server_id = p.server_id;
+  Server& s = servers_[static_cast<std::size_t>(server_id)];
+  if (s.failed) {
+    JobOutcome outcome = release(slot);
+    outcome.dropped = true;
+    record(outcome);
+    return;
+  }
+  s.pending.push_back(Pending{p.job.deadline, p.seq, slot});
+  dispatch(server_id);
 }
 
 void Executor::dispatch(int server_id) {
@@ -109,50 +138,44 @@ void Executor::dispatch(int server_id) {
     auto pick = s.pending.begin();
     if (policy_ == SchedPolicy::kEdf) {
       for (auto it = s.pending.begin(); it != s.pending.end(); ++it) {
-        if (it->second.deadline < pick->second.deadline ||
-            (it->second.deadline == pick->second.deadline &&
-             it->first < pick->first))
+        if (it->deadline < pick->deadline ||
+            (it->deadline == pick->deadline && it->seq < pick->seq))
           pick = it;
       }
-    }  // FIFO: submission order == queue order, so front() is correct.
-    const lte::SubframeJob job = pick->second;
+    }  // FIFO: arrival order == queue order, so front() is correct.
+    const std::uint32_t slot = pick->slot;
     s.pending.erase(pick);
-    start_job(server_id, job);
+    start_job(server_id, slot);
   }
 }
 
-void Executor::start_job(int server_id, const lte::SubframeJob& job) {
+void Executor::start_job(int server_id, std::uint32_t slot) {
   Server& s = servers_[static_cast<std::size_t>(server_id)];
+  const lte::SubframeJob& job = slab_[slot].job;
   const int width = std::max(
       1, std::min({job.parallelism, s.spec.max_job_parallelism,
                    free_cores(s)}));
-  const sim::Time start = engine_.now();
   const sim::Time duration = exec_time(s, job, width);
-  const std::uint64_t token = next_token_++;
-  engine_.schedule_in(
-      duration, [this, server_id, token] { on_job_done(server_id, token); });
-  s.running.push_back(Running{job, start, token, width});
+  const SlotRef ref{slot, slab_[slot].generation};
+  engine_.schedule_in(duration, [this, ref] { on_job_done(ref); });
+  s.running.push_back(Running{slot, width, engine_.now()});
 }
 
-void Executor::on_job_done(int server_id, std::uint64_t token) {
+void Executor::on_job_done(SlotRef ref) {
+  const Parked& p = slab_[ref.slot];
+  if (p.generation != ref.generation) return;  // dropped by a failure
+  const int server_id = p.server_id;
   Server& s = servers_[static_cast<std::size_t>(server_id)];
-  if (token < s.first_live_token) return;  // dropped by a failure
-  std::size_t slot = s.running.size();
-  for (std::size_t i = 0; i < s.running.size(); ++i) {
-    if (s.running[i].token == token) {
-      slot = i;
-      break;
-    }
-  }
-  PRAN_CHECK(slot < s.running.size(), "completion with no running job");
+  std::size_t i = 0;
+  while (i < s.running.size() && s.running[i].slot != ref.slot) ++i;
+  PRAN_CHECK(i < s.running.size(), "completion with no running job");
 
-  JobOutcome outcome;
-  outcome.job = s.running[slot].job;
-  outcome.server_id = server_id;
-  outcome.start = s.running[slot].start;
+  const Running done = s.running[i];
+  s.running.erase(s.running.begin() + static_cast<std::ptrdiff_t>(i));
+  JobOutcome outcome = release(ref.slot);
+  outcome.start = done.start;
   outcome.finish = engine_.now();
-  outcome.cores_used = s.running[slot].width;
-  s.running.erase(s.running.begin() + static_cast<std::ptrdiff_t>(slot));
+  outcome.cores_used = done.width;
   record(outcome);
   dispatch(server_id);
 }
@@ -161,25 +184,20 @@ void Executor::fail_server(int server_id) {
   Server& s = server(server_id);
   PRAN_REQUIRE(!s.failed, "server is already failed");
   s.failed = true;
-  // Every job started so far is dropped below; their completions go stale.
-  s.first_live_token = next_token_;
 
-  // Drop the waiting queue.
-  for (auto& [seq, job] : s.pending) {
-    (void)seq;
-    JobOutcome outcome;
-    outcome.job = job;
-    outcome.server_id = server_id;
+  // Drop the waiting queue. Callbacks may submit elsewhere but never touch
+  // this server's queues, which stay put until cleared.
+  for (const Pending& p : s.pending) {
+    JobOutcome outcome = release(p.slot);
     outcome.dropped = true;
     record(outcome);
   }
   s.pending.clear();
 
-  // Abort in-flight jobs.
-  for (auto& r : s.running) {
-    JobOutcome outcome;
-    outcome.job = r.job;
-    outcome.server_id = server_id;
+  // Abort in-flight jobs; releasing their slots makes their completion
+  // events stale.
+  for (const Running& r : s.running) {
+    JobOutcome outcome = release(r.slot);
     outcome.start = r.start;
     outcome.dropped = true;
     record(outcome);
@@ -219,7 +237,7 @@ double Executor::speed_factor(int server_id) const {
 double Executor::pending_gops(int server_id) const {
   const Server& s = server(server_id);
   double gops = 0.0;
-  for (const auto& [token, job] : s.pending) gops += job.total_gops();
+  for (const Pending& p : s.pending) gops += slab_[p.slot].job.total_gops();
   return gops;
 }
 
@@ -241,9 +259,9 @@ void Executor::record_compute_outage(int server_id,
 void Executor::record(const JobOutcome& outcome) {
   // Callbacks get the caller's copy, not a reference into the log: a drop
   // callback may record another outcome and reallocate the log.
-  outcomes_.push_back(outcome);
   tally(stats_, outcome);
   tally(servers_[static_cast<std::size_t>(outcome.server_id)].stats, outcome);
+  if (keep_outcomes_) outcomes_.push_back(outcome);
   if (outcome.dropped && on_drop_) on_drop_(outcome.job, outcome.server_id);
   if (on_complete_) on_complete_(outcome);
 }

@@ -11,9 +11,15 @@
 /// deadline (the policy PRAN's data plane uses); FIFO is the baseline.
 /// Server failures drop the jobs on that server and notify the controller,
 /// which re-places the affected cells.
+///
+/// The per-job path allocates nothing once warm: a submitted job is parked
+/// in a slab slot the executor reuses through a free list, each server's
+/// pending queue is a reused vector of slot indices, and the engine events
+/// carry only `this` plus a slot reference, small enough for std::function
+/// to store inline. Outcomes are tallied, handed to the callbacks and then
+/// forgotten, unless the opt-in outcome log is on.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -140,12 +146,19 @@ class Executor {
   }
   void set_drop_callback(DropCallback cb) { on_drop_ = std::move(cb); }
 
-  /// All finished/dropped jobs in completion order.
+  /// Turns the outcome log on or off (off by default). While on, every
+  /// outcome recorded from then on is appended to outcomes(); the log grows
+  /// without bound, so it is for tests and short experiments. Consumers
+  /// that only need each outcome once use the completion callback instead.
+  void set_outcome_log(bool enabled) noexcept { keep_outcomes_ = enabled; }
+
+  /// The finished/dropped jobs recorded while the outcome log was on, in
+  /// completion order. Empty unless set_outcome_log(true) was called.
   const std::vector<JobOutcome>& outcomes() const noexcept {
     return outcomes_;
   }
 
-  /// Running tallies over the outcome log, kept as outcomes are recorded.
+  /// Running tallies of every recorded outcome, log or no log.
   struct Stats {
     std::uint64_t completed = 0;
     std::uint64_t missed = 0;
@@ -177,32 +190,60 @@ class Executor {
   double utilization(int server_id, sim::Time window) const;
 
  private:
-  struct Running {
+  /// A job from submit() until it completes or is dropped. The slot's
+  /// generation changes each time the slot is released, so an event that
+  /// names an older generation is stale (its job was dropped by a failure).
+  struct Parked {
     lte::SubframeJob job;
+    std::uint64_t seq = 0;  ///< Submission order; breaks EDF ties.
+    int server_id = -1;
+    std::uint32_t generation = 0;
+  };
+  /// What an engine event names: a slab slot at one generation. With
+  /// `this`, a handler captures 16 trivially copyable bytes, which
+  /// libstdc++'s std::function stores without allocating.
+  struct SlotRef {
+    std::uint32_t slot;
+    std::uint32_t generation;
+  };
+  struct Pending {
+    sim::Time deadline;  ///< Copied from the job so EDF scans stay local.
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Running {
+    std::uint32_t slot;
+    int width;  ///< Cores this job occupies.
     sim::Time start;
-    std::uint64_t token;  ///< Unique per started job; keys completions.
-    int width = 1;        ///< Cores this job occupies.
   };
   struct Server {
     ServerSpec spec;
     bool failed = false;
     /// Effective per-core speed multiplier (< 1 while degraded).
     double speed_factor = 1.0;
-    std::deque<std::pair<std::uint64_t, lte::SubframeJob>> pending;
+    /// Arrived jobs not yet started, in arrival order (FIFO takes the
+    /// front; EDF takes the earliest deadline and keeps the rest in order).
+    std::vector<Pending> pending;
     std::vector<Running> running;  ///< size <= spec.cores
-    /// Tokens below this mark belong to jobs a failure dropped; their
-    /// completion events are stale and ignored when they fire.
-    std::uint64_t first_live_token = 0;
-    Stats stats;  ///< This server's share of the outcome log.
+    Stats stats;  ///< This server's share of the tallies.
   };
 
   int free_cores(const Server& s) const;
-  void start_job(int server_id, const lte::SubframeJob& job);
-  void on_job_done(int server_id, std::uint64_t token);
+  /// Copies `job` into a free slab slot (growing the slab only when none
+  /// is free) and returns the slot.
+  std::uint32_t park(int server_id, std::uint64_t seq,
+                     const lte::SubframeJob& job);
+  /// Frees `slot` and returns the outcome skeleton (job and server) of the
+  /// job it held; the caller fills in the rest and records it.
+  JobOutcome release(std::uint32_t slot);
+  void on_arrival(std::uint32_t slot);
+  void start_job(int server_id, std::uint32_t slot);
+  void on_job_done(SlotRef ref);
   void dispatch(int server_id);
-  /// The one place an outcome enters the log: appends it, counts it into
-  /// the pool and server tallies, then fires the drop callback (drops
-  /// only) and the completion callback with that same outcome.
+  /// The one place an outcome is settled: counts it into the pool and
+  /// server tallies, appends it to the log when that is on, then fires the
+  /// drop callback (drops only) and the completion callback with that same
+  /// outcome.
   void record(const JobOutcome& outcome);
   Server& server(int server_id);
   const Server& server(int server_id) const;
@@ -213,7 +254,9 @@ class Executor {
   std::vector<Server> servers_;
   SchedPolicy policy_;
   std::uint64_t submit_seq_ = 0;
-  std::uint64_t next_token_ = 0;
+  std::vector<Parked> slab_;
+  std::vector<std::uint32_t> free_slots_;
+  bool keep_outcomes_ = false;
   std::vector<JobOutcome> outcomes_;
   Stats stats_;
   CompletionCallback on_complete_;

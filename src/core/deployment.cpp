@@ -93,6 +93,7 @@ Deployment::Deployment(DeploymentConfig config)
   }
   executor_ =
       std::make_unique<cluster::Executor>(engine_, specs, config_.policy);
+  executor_->set_outcome_log(config_.keep_outcome_log);
 
   // MAC mode: one scheduled UE population per cell, with the statistical
   // fleet retained for its diurnal profiles and site geometry.
@@ -340,10 +341,10 @@ double Deployment::hour_at(sim::Time t) const {
 void Deployment::tick() {
   PRAN_SPAN("deployment_tick", tti_counter_);
   const double hour = hour_at(engine_.now());
+  std::vector<lte::Allocation>& allocs = tick_allocs_;
   for (std::size_t c = 0; c < cells_.size(); ++c) {
-    std::vector<lte::Allocation> allocs;
     if (macs_.empty()) {
-      allocs = cells_[c].sample_subframe(hour);
+      cells_[c].sample_subframe(hour, allocs);
     } else {
       macs_[c].set_load_scale(cells_[c].profile().at(hour));
       allocs = macs_[c].run_tti();

@@ -150,6 +150,11 @@ struct DeploymentConfig {
   /// Windowed KPI time series + SLO burn-rate monitoring + anomaly flight
   /// recorder (no-op unless enabled and the build has telemetry).
   TimelineConfig timeline;
+
+  /// Keep every job outcome in executor().outcomes() (see
+  /// cluster::Executor::set_outcome_log). Off by default: the log grows by
+  /// one JobOutcome per job, so only tests and short experiments want it.
+  bool keep_outcome_log = false;
 };
 
 /// Aggregate KPIs over a run.
@@ -362,6 +367,8 @@ class Deployment {
   /// Populated only in kMacScheduled mode (index-aligned with cells_).
   std::vector<mac::CellMac> macs_;
   std::vector<lte::SubframeFactory> factories_;
+  /// One cell's allocations within tick(); kept so sampling reuses it.
+  std::vector<lte::Allocation> tick_allocs_;
   std::unique_ptr<cluster::Executor> executor_;
   std::unique_ptr<Controller> controller_;
   std::unique_ptr<MigrationManager> migration_;

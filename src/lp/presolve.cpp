@@ -228,7 +228,9 @@ PresolveResult presolve(const Model& original) {
       }
     }
     if (!any) continue;  // fully substituted; feasibility was checked above
-    reduced.add_constraint("p" + std::to_string(row_id++),
+    std::string name = "p";
+    name += std::to_string(row_id++);
+    reduced.add_constraint(std::move(name),
                            Constraint{std::move(expr), row.relation, rhs});
   }
 

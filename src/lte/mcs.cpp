@@ -1,5 +1,7 @@
 #include "lte/mcs.hpp"
 
+#include <array>
+
 #include "common/check.hpp"
 
 namespace pran::lte {
@@ -96,14 +98,19 @@ int cqi_from_efficiency(double bits_per_re) {
 
 int mcs_from_cqi(int cqi_index) {
   PRAN_REQUIRE(cqi_index >= 0 && cqi_index <= 15, "CQI index outside 0..15");
-  if (cqi_index == 0) return 0;
-  // Small tolerance: table rounding makes e.g. MCS 28 (5.5548) sit a hair
-  // above CQI 15 (5.5547); they are the same operating point.
-  const double target = cqi(cqi_index).spectral_eff + 1e-3;
-  int best = 0;
-  for (const auto& entry : mcs_table())
-    if (entry.spectral_eff <= target) best = entry.index;
-  return best;
+  static const std::array<int, 16> table = [] {
+    std::array<int, 16> t{};  // CQI 0 maps to MCS 0
+    for (int c = 1; c <= 15; ++c) {
+      // Small tolerance: table rounding makes e.g. MCS 28 (5.5548) sit a
+      // hair above CQI 15 (5.5547); they are the same operating point.
+      const double target = cqi(c).spectral_eff + 1e-3;
+      for (const auto& entry : mcs_table())
+        if (entry.spectral_eff <= target)
+          t[static_cast<std::size_t>(c)] = entry.index;
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(cqi_index)];
 }
 
 units::Bits transport_block_bits(int mcs_index, units::PrbCount n_prb) {

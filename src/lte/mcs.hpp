@@ -54,7 +54,8 @@ const CqiEntry& cqi(int index);
 int cqi_from_efficiency(double bits_per_re);
 
 /// Maps CQI (0..15) to the highest MCS with spectral efficiency not above
-/// the CQI's. CQI 0 maps to MCS 0 (most robust).
+/// the CQI's. CQI 0 maps to MCS 0 (most robust). A lookup in a 16-entry
+/// table built once from the two tables.
 int mcs_from_cqi(int cqi_index);
 
 /// Usable resource elements per PRB pair per subframe, after control /

@@ -1,6 +1,7 @@
 #include "workload/traffic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -26,6 +27,34 @@ int sample_turbo_iterations(double code_rate, Rng& rng) {
   return std::clamp(draw, lte::kMinTurboIterations, lte::kMaxTurboIterations);
 }
 
+/// A CQI's MCS, code rate and per-PRB rate: functions of the constant
+/// MCS/CQI tables only, so one table serves every model.
+struct CqiLink {
+  int mcs = 0;
+  double code_rate = 0.0;
+  units::BitRate prb_rate{0.0};
+};
+
+const CqiLink& cqi_link(int cqi) {
+  static const std::array<CqiLink, 16> table = [] {
+    std::array<CqiLink, 16> t{};
+    for (int c = 1; c <= 15; ++c) {
+      const int mcs = lte::mcs_from_cqi(c);
+      t[static_cast<std::size_t>(c)] =
+          CqiLink{mcs, lte::mcs(mcs).code_rate, lte::prb_rate_bps(mcs)};
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(cqi)];
+}
+
+/// lte::prbs_for_rate with the per-PRB rate already looked up: the same
+/// arithmetic, so the same count.
+int prbs_for(units::BitRate rate, units::BitRate per_prb) {
+  if (rate == units::BitRate{0.0}) return 0;
+  return static_cast<int>(std::ceil(rate / per_prb));
+}
+
 }  // namespace
 
 TrafficModel::TrafficModel(CellSite site, DiurnalProfile profile,
@@ -42,6 +71,14 @@ TrafficModel::TrafficModel(CellSite site, DiurnalProfile profile,
                "peak utilization outside (0, 1]");
   PRAN_REQUIRE(site_.radius_m > site_.min_distance_m,
                "cell radius must exceed the minimum UE distance");
+  for (const auto& c : mix_) {
+    PRAN_REQUIRE(c.rate_bps >= units::BitRate{0.0},
+                 "service rate must be non-negative");
+    weight_total_ += c.weight;
+  }
+  const lte::LinkBudget budget;
+  noise_dbm_ = lte::noise_power_dbm(budget.bandwidth_per_prb_hz,
+                                    budget.noise_figure_db);
 
   // Calibrate mean PRBs per UE by Monte Carlo so that the Poisson arrival
   // intensity can be set to hit the configured peak PRB utilisation.
@@ -49,83 +86,89 @@ TrafficModel::TrafficModel(CellSite site, DiurnalProfile profile,
   double total = 0.0;
   constexpr int kCalibrationDraws = 512;
   for (int i = 0; i < kCalibrationDraws; ++i) {
-    const double w_total = [&] {
-      double s = 0.0;
-      for (const auto& c : mix_) s += c.weight;
-      return s;
-    }();
-    double pick = calib.uniform() * w_total;
-    const ServiceClass* chosen = &mix_.back();
-    for (const auto& c : mix_) {
-      pick -= c.weight;
-      if (pick < 0.0) {
-        chosen = &c;
-        break;
-      }
-    }
+    const std::size_t chosen = pick_service_class(calib);
     const double d = std::sqrt(calib.uniform()) * site_.radius_m;
     const double dist = std::max(d, site_.min_distance_m);
-    const int mcs = lte::mcs_from_cqi(std::max(1, lte::cqi_at_distance(dist)));
-    total += lte::prbs_for_rate(chosen->rate_bps, mcs).count();
+    total += ue_link(std::max(1, cqi_at(dist)), chosen).prbs;
   }
   mean_prbs_per_ue_ = total / kCalibrationDraws;
   PRAN_CHECK(mean_prbs_per_ue_ > 0.0, "calibration produced zero PRBs/UE");
+}
+
+TrafficModel::UeLink TrafficModel::ue_link(int cqi,
+                                           std::size_t service_class) const {
+  PRAN_REQUIRE(cqi >= 1 && cqi <= 15, "CQI index outside 1..15");
+  PRAN_REQUIRE(service_class < mix_.size(), "unknown service class");
+  const CqiLink& link = cqi_link(cqi);
+  return UeLink{link.mcs, link.code_rate,
+                prbs_for(mix_[service_class].rate_bps, link.prb_rate)};
+}
+
+std::size_t TrafficModel::pick_service_class(Rng& rng) const {
+  double pick = rng.uniform() * weight_total_;
+  for (std::size_t k = 0; k < mix_.size(); ++k) {
+    pick -= mix_[k].weight;
+    if (pick < 0.0) return k;
+  }
+  return mix_.size() - 1;
+}
+
+int TrafficModel::cqi_at(double meters) const {
+  const lte::LinkBudget budget;
+  const units::Db snr =
+      budget.tx_power_dbm - lte::pathloss_db(meters) - noise_dbm_;
+  return lte::cqi_from_efficiency(lte::spectral_efficiency(snr, budget));
 }
 
 double TrafficModel::expected_utilization(double hour) const {
   return site_.peak_prb_utilization * profile_.at(hour);
 }
 
-std::vector<lte::Allocation> TrafficModel::sample_subframe_with(
-    double hour, Rng& rng) const {
+void TrafficModel::sample_with(double hour, Rng& rng,
+                               std::vector<lte::Allocation>& out) const {
   const double target_prbs =
       expected_utilization(hour) * static_cast<double>(site_.config.n_prb);
   const double lambda = target_prbs / mean_prbs_per_ue_;
   const std::uint32_t ue_count = rng.poisson(lambda);
 
-  std::vector<lte::Allocation> allocs;
-  allocs.reserve(ue_count);
+  out.clear();
+  out.reserve(ue_count);
   int prbs_left = site_.config.n_prb;
-  double weight_total = 0.0;
-  for (const auto& c : mix_) weight_total += c.weight;
-
   for (std::uint32_t u = 0; u < ue_count && prbs_left > 0; ++u) {
-    double pick = rng.uniform() * weight_total;
-    const ServiceClass* chosen = &mix_.back();
-    for (const auto& c : mix_) {
-      pick -= c.weight;
-      if (pick < 0.0) {
-        chosen = &c;
-        break;
-      }
-    }
+    const std::size_t chosen = pick_service_class(rng);
     // Uniform position in the disc (sqrt for area uniformity).
     const double dist = std::max(std::sqrt(rng.uniform()) * site_.radius_m,
                                  site_.min_distance_m);
-    const int cqi = lte::cqi_at_distance(dist);
+    const int cqi = cqi_at(dist);
     if (cqi == 0) continue;  // out of coverage this TTI
-    const int mcs = lte::mcs_from_cqi(cqi);
+    const CqiLink& link = cqi_link(cqi);
     const int prbs =
-        std::min(lte::prbs_for_rate(chosen->rate_bps, mcs).count(), prbs_left);
+        std::min(prbs_for(mix_[chosen].rate_bps, link.prb_rate), prbs_left);
     if (prbs == 0) continue;
-    const double rate = lte::mcs(mcs).code_rate;
-    allocs.push_back(
-        lte::Allocation{prbs, mcs, sample_turbo_iterations(rate, rng)});
+    out.push_back(lte::Allocation{
+        prbs, link.mcs, sample_turbo_iterations(link.code_rate, rng)});
     prbs_left -= prbs;
   }
-  return allocs;
 }
 
 std::vector<lte::Allocation> TrafficModel::sample_subframe(double hour) {
-  return sample_subframe_with(hour, rng_);
+  std::vector<lte::Allocation> allocs;
+  sample_with(hour, rng_, allocs);
+  return allocs;
+}
+
+void TrafficModel::sample_subframe(double hour,
+                                   std::vector<lte::Allocation>& out) {
+  sample_with(hour, rng_, out);
 }
 
 double TrafficModel::expected_subframe_gops(double hour, int samples) const {
   PRAN_REQUIRE(samples >= 1, "need at least one sample");
   Rng scratch(rng_);  // copy: do not disturb the model's own stream
   double total = 0.0;
+  std::vector<lte::Allocation> allocs;
   for (int i = 0; i < samples; ++i) {
-    const auto allocs = sample_subframe_with(hour, scratch);
+    sample_with(hour, scratch, allocs);
     total +=
         cost_.subframe_cost(site_.config, allocs, lte::Direction::kUplink)
             .total();

@@ -11,6 +11,7 @@
 /// CQI/MCS through the link model, and a decoder-iteration count that grows
 /// with the code rate.
 
+#include <cstddef>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,6 +60,10 @@ class TrafficModel {
   /// scheduler would defer them).
   std::vector<lte::Allocation> sample_subframe(double hour);
 
+  /// The same draw written into `out` (cleared first), so a caller that
+  /// keeps one buffer samples without allocating once it is warm.
+  void sample_subframe(double hour, std::vector<lte::Allocation>& out);
+
   /// Expected giga-operations of one uplink subframe at `hour`, estimated
   /// by averaging `samples` draws from a throwaway generator (does not
   /// perturb this model's stream).
@@ -67,14 +72,35 @@ class TrafficModel {
   /// Worst-case (all PRBs at top MCS) subframe cost, for peak provisioning.
   double peak_subframe_gops() const;
 
+  /// What a UE of one service class gets at one CQI: the MCS
+  /// (lte::mcs_from_cqi), its code rate (lte::mcs().code_rate) and the PRBs
+  /// its rate needs (lte::prbs_for_rate), from a per-CQI table built once
+  /// and shared by every model.
+  struct UeLink {
+    int mcs = 0;
+    double code_rate = 0.0;
+    int prbs = 0;
+  };
+  /// The link of a UE of the mix's `service_class` index at `cqi` (1..15).
+  UeLink ue_link(int cqi, std::size_t service_class) const;
+
  private:
-  std::vector<lte::Allocation> sample_subframe_with(double hour,
-                                                    Rng& rng) const;
+  /// Draws a service class by weight (one uniform draw); returns its index.
+  std::size_t pick_service_class(Rng& rng) const;
+  /// CQI (0..15) of a UE `meters` from the site, as lte::cqi_at_distance
+  /// computes it under the default link budget, with the noise power
+  /// hoisted out of the per-UE path.
+  int cqi_at(double meters) const;
+  /// Draws one subframe's allocations from `rng` into `out`.
+  void sample_with(double hour, Rng& rng,
+                   std::vector<lte::Allocation>& out) const;
 
   CellSite site_;
   DiurnalProfile profile_;
   lte::CostModel cost_;
   std::vector<ServiceClass> mix_;
+  double weight_total_ = 0.0;  ///< Sum of the mix's weights.
+  units::Db noise_dbm_{0.0};   ///< Per-PRB noise power, default budget.
   double mean_prbs_per_ue_ = 0.0;  ///< Calibrated at construction.
   Rng rng_;
 };

@@ -4,6 +4,7 @@
 
 #include "cluster/executor.hpp"
 #include "lte/subframe.hpp"
+#include "outcome_log.hpp"
 
 namespace pran::cluster {
 namespace {
@@ -26,56 +27,61 @@ ServerSpec wide_server(int cores, int max_par) {
 TEST(Parallelism, JobFansOutAcrossFreeCores) {
   sim::Engine engine;
   Executor ex(engine, {wide_server(4, 8)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // 0.4 Gop at 100 GOPS = 4 ms serial; on 4 cores = 1 ms.
   ex.submit(0, job_with(0.4, 16, 100 * sim::kMillisecond));
   engine.run();
-  ASSERT_EQ(ex.outcomes().size(), 1u);
-  EXPECT_EQ(ex.outcomes()[0].finish, sim::kMillisecond);
-  EXPECT_EQ(ex.outcomes()[0].cores_used, 4);
+  ASSERT_EQ(seen.outcomes.size(), 1u);
+  EXPECT_EQ(seen.outcomes[0].finish, sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[0].cores_used, 4);
 }
 
 TEST(Parallelism, WidthCappedByJobParallelism) {
   sim::Engine engine;
   Executor ex(engine, {wide_server(8, 8)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   ex.submit(0, job_with(0.4, 2, 100 * sim::kMillisecond));
   engine.run();
-  EXPECT_EQ(ex.outcomes()[0].cores_used, 2);
-  EXPECT_EQ(ex.outcomes()[0].finish, 2 * sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[0].cores_used, 2);
+  EXPECT_EQ(seen.outcomes[0].finish, 2 * sim::kMillisecond);
 }
 
 TEST(Parallelism, WidthCappedByServerPolicy) {
   sim::Engine engine;
   Executor ex(engine, {wide_server(8, 1)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   ex.submit(0, job_with(0.4, 16, 100 * sim::kMillisecond));
   engine.run();
-  EXPECT_EQ(ex.outcomes()[0].cores_used, 1);
-  EXPECT_EQ(ex.outcomes()[0].finish, 4 * sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[0].cores_used, 1);
+  EXPECT_EQ(seen.outcomes[0].finish, 4 * sim::kMillisecond);
 }
 
 TEST(Parallelism, ConcurrentJobsShareCores) {
   sim::Engine engine;
   Executor ex(engine, {wide_server(4, 4)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // First job grabs all 4 cores; second queues, then gets all 4.
   ex.submit(0, job_with(0.4, 8, 100 * sim::kMillisecond));
   ex.submit(0, job_with(0.4, 8, 100 * sim::kMillisecond));
   engine.run();
-  ASSERT_EQ(ex.outcomes().size(), 2u);
-  EXPECT_EQ(ex.outcomes()[0].finish, sim::kMillisecond);
-  EXPECT_EQ(ex.outcomes()[1].finish, 2 * sim::kMillisecond);
+  ASSERT_EQ(seen.outcomes.size(), 2u);
+  EXPECT_EQ(seen.outcomes[0].finish, sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[1].finish, 2 * sim::kMillisecond);
 }
 
 TEST(Parallelism, PartialWidthWhenCoresBusy) {
   sim::Engine engine;
   Executor ex(engine, {wide_server(4, 4)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // Long serial job occupies 1 core (parallelism 1)...
   ex.submit(0, job_with(0.5, 1, 100 * sim::kMillisecond));  // 5 ms on 1 core
   // ...second job can only fan out over the remaining 3.
   ex.submit(0, job_with(0.3, 8, 100 * sim::kMillisecond));  // 1 ms on 3
   engine.run();
-  ASSERT_EQ(ex.outcomes().size(), 2u);
-  EXPECT_EQ(ex.outcomes()[0].cores_used, 3);
-  EXPECT_EQ(ex.outcomes()[0].finish, sim::kMillisecond);
-  EXPECT_EQ(ex.outcomes()[1].cores_used, 1);
+  ASSERT_EQ(seen.outcomes.size(), 2u);
+  EXPECT_EQ(seen.outcomes[0].cores_used, 3);
+  EXPECT_EQ(seen.outcomes[0].finish, sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[1].cores_used, 1);
 }
 
 TEST(Parallelism, BusyAccountingScalesWithWidth) {
@@ -94,6 +100,7 @@ TEST(Parallelism, MakesDeadlinesFeasibleThatSerialMisses) {
   for (int max_par : {1, 8}) {
     sim::Engine engine;
     Executor ex(engine, {wide_server(8, max_par)}, SchedPolicy::kEdf);
+    OutcomeLog seen(ex);
     for (int i = 0; i < 3; ++i) {
       auto job = job_with(0.3, 12, 3 * sim::kMillisecond);
       job.release = 0;
@@ -105,7 +112,7 @@ TEST(Parallelism, MakesDeadlinesFeasibleThatSerialMisses) {
     } else {
       EXPECT_EQ(ex.stats().missed, 0u);
       // With fan-out the worst finish time is far inside the budget.
-      for (const auto& o : ex.outcomes())
+      for (const auto& o : seen.outcomes)
         EXPECT_LE(o.finish, 2 * sim::kMillisecond);
     }
   }

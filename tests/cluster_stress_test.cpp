@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "cluster/executor.hpp"
 #include "common/rng.hpp"
+#include "outcome_log.hpp"
 
 namespace pran::cluster {
 namespace {
@@ -40,12 +43,15 @@ TEST_P(ExecutorStress, ConservationAndOrderingInvariants) {
   sim::Engine engine;
   std::vector<ServerSpec> specs;
   for (int s = 0; s < servers; ++s) {
-    ServerSpec spec{"s" + std::to_string(s), cores, rng.uniform(50.0, 200.0)};
+    std::string name = "s";
+    name += std::to_string(s);
+    ServerSpec spec{name, cores, rng.uniform(50.0, 200.0)};
     spec.max_job_parallelism = parallel ? cores : 1;
     specs.push_back(spec);
   }
   Executor ex(engine, specs,
               edf ? SchedPolicy::kEdf : SchedPolicy::kFifo);
+  OutcomeLog seen(ex);
 
   const std::size_t n_jobs = 200;
   const sim::Time horizon = 100 * sim::kMillisecond;
@@ -64,12 +70,12 @@ TEST_P(ExecutorStress, ConservationAndOrderingInvariants) {
   engine.run();
 
   // Conservation: every submitted job has exactly one outcome.
-  EXPECT_EQ(ex.outcomes().size(), submitted);
+  EXPECT_EQ(seen.outcomes.size(), submitted);
   const auto stats = ex.stats();
   EXPECT_EQ(stats.completed + stats.dropped, submitted);
 
   std::map<int, int> per_cell;
-  for (const auto& o : ex.outcomes()) {
+  for (const auto& o : seen.outcomes) {
     ++per_cell[o.job.cell_id];
     if (o.dropped) continue;
     // Sanity: starts respect releases; finishes follow starts.

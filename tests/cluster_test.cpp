@@ -6,6 +6,7 @@
 
 #include "cluster/executor.hpp"
 #include "common/check.hpp"
+#include "outcome_log.hpp"
 
 namespace pran::cluster {
 namespace {
@@ -27,11 +28,12 @@ ServerSpec one_core(double gops = 100.0) {
 TEST(Executor, RunsJobToCompletion) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // 0.1 Gop on a 100 GOPS core = 1 ms.
   ex.submit(0, make_job(1, 0.1, 0, 10 * sim::kMillisecond));
   engine.run();
-  ASSERT_EQ(ex.outcomes().size(), 1u);
-  const auto& o = ex.outcomes()[0];
+  ASSERT_EQ(seen.outcomes.size(), 1u);
+  const auto& o = seen.outcomes[0];
   EXPECT_EQ(o.start, 0);
   EXPECT_EQ(o.finish, sim::kMillisecond);
   EXPECT_FALSE(o.missed_deadline());
@@ -42,18 +44,20 @@ TEST(Executor, RunsJobToCompletion) {
 TEST(Executor, HonoursReleaseTime) {
   sim::Engine engine;
   Executor ex(engine, {one_core()}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   ex.submit(0, make_job(1, 0.05, 3 * sim::kMillisecond, 100 * sim::kMillisecond));
   engine.run();
-  EXPECT_EQ(ex.outcomes()[0].start, 3 * sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[0].start, 3 * sim::kMillisecond);
 }
 
 TEST(Executor, DetectsDeadlineMiss) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // 0.5 Gop = 5 ms, deadline at 3 ms.
   ex.submit(0, make_job(1, 0.5, 0, 3 * sim::kMillisecond));
   engine.run();
-  EXPECT_TRUE(ex.outcomes()[0].missed_deadline());
+  EXPECT_TRUE(seen.outcomes[0].missed_deadline());
   EXPECT_EQ(ex.stats().missed, 1u);
   EXPECT_DOUBLE_EQ(ex.stats().miss_ratio(), 1.0);
 }
@@ -61,47 +65,51 @@ TEST(Executor, DetectsDeadlineMiss) {
 TEST(Executor, EdfOrdersByDeadline) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // Occupy the core, then queue two jobs with inverted deadline order.
   ex.submit(0, make_job(0, 0.1, 0, 50 * sim::kMillisecond));
   ex.submit(0, make_job(1, 0.1, 0, 40 * sim::kMillisecond));  // later deadline
   ex.submit(0, make_job(2, 0.1, 0, 5 * sim::kMillisecond));   // earliest
   engine.run();
-  ASSERT_EQ(ex.outcomes().size(), 3u);
-  EXPECT_EQ(ex.outcomes()[0].job.cell_id, 0);  // was running
-  EXPECT_EQ(ex.outcomes()[1].job.cell_id, 2);  // EDF picks earliest deadline
-  EXPECT_EQ(ex.outcomes()[2].job.cell_id, 1);
+  ASSERT_EQ(seen.outcomes.size(), 3u);
+  EXPECT_EQ(seen.outcomes[0].job.cell_id, 0);  // was running
+  EXPECT_EQ(seen.outcomes[1].job.cell_id, 2);  // EDF picks earliest deadline
+  EXPECT_EQ(seen.outcomes[2].job.cell_id, 1);
 }
 
 TEST(Executor, FifoIgnoresDeadlines) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kFifo);
+  OutcomeLog seen(ex);
   ex.submit(0, make_job(0, 0.1, 0, 50 * sim::kMillisecond));
   ex.submit(0, make_job(1, 0.1, 0, 40 * sim::kMillisecond));
   ex.submit(0, make_job(2, 0.1, 0, 5 * sim::kMillisecond));
   engine.run();
-  EXPECT_EQ(ex.outcomes()[1].job.cell_id, 1);
-  EXPECT_EQ(ex.outcomes()[2].job.cell_id, 2);
+  EXPECT_EQ(seen.outcomes[1].job.cell_id, 1);
+  EXPECT_EQ(seen.outcomes[2].job.cell_id, 2);
 }
 
 TEST(Executor, MultiCoreRunsInParallel) {
   sim::Engine engine;
   Executor ex(engine, {ServerSpec{"s", 2, 100.0}}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   for (int i = 0; i < 2; ++i)
     ex.submit(0, make_job(i, 0.1, 0, 10 * sim::kMillisecond));
   engine.run();
   // Both 1 ms jobs finish at t=1ms on separate cores.
-  EXPECT_EQ(ex.outcomes()[0].finish, sim::kMillisecond);
-  EXPECT_EQ(ex.outcomes()[1].finish, sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[0].finish, sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[1].finish, sim::kMillisecond);
 }
 
 TEST(Executor, QueueingDelaysSecondJobOnOneCore) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   for (int i = 0; i < 2; ++i)
     ex.submit(0, make_job(i, 0.1, 0, 10 * sim::kMillisecond));
   engine.run();
-  EXPECT_EQ(ex.outcomes()[1].finish, 2 * sim::kMillisecond);
-  EXPECT_EQ(ex.outcomes()[1].latency(), 2 * sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[1].finish, 2 * sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[1].latency(), 2 * sim::kMillisecond);
 }
 
 TEST(Executor, FailureDropsQueuedAndRunning) {
@@ -142,6 +150,7 @@ TEST(Executor, RestoreAllowsNewWork) {
 TEST(Executor, StaleCompletionAfterFailAndRestoreIsIgnored) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   // 1 ms job from t=0; the failure at 0.5 ms drops it, but its completion
   // event still fires at 1 ms — while the second job holds the core.
   ex.submit(0, make_job(0, 0.1, 0, 10 * sim::kMillisecond));
@@ -152,10 +161,10 @@ TEST(Executor, StaleCompletionAfterFailAndRestoreIsIgnored) {
     ex.submit(0, make_job(1, 0.1, restart, 10 * sim::kMillisecond));
   });
   engine.run();
-  ASSERT_EQ(ex.outcomes().size(), 2u);
-  EXPECT_TRUE(ex.outcomes()[0].dropped);
-  EXPECT_EQ(ex.outcomes()[1].start, restart);
-  EXPECT_EQ(ex.outcomes()[1].finish, restart + sim::kMillisecond);
+  ASSERT_EQ(seen.outcomes.size(), 2u);
+  EXPECT_TRUE(seen.outcomes[0].dropped);
+  EXPECT_EQ(seen.outcomes[1].start, restart);
+  EXPECT_EQ(seen.outcomes[1].finish, restart + sim::kMillisecond);
   const auto stats = ex.stats();
   EXPECT_EQ(stats.dropped, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -236,26 +245,19 @@ TEST(Executor, BacklogTtisTracksPendingWork) {
 TEST(Executor, ComputeOutageIsItsOwnOutcome) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
-  int completions = 0;
-  bool saw_outage_flag = false;
-  ex.set_completion_callback([&](const JobOutcome& o) {
-    ++completions;
-    saw_outage_flag = o.compute_outage;
-  });
+  OutcomeLog seen(ex);
   bool drop_fired = false;
   ex.set_drop_callback(
       [&](const lte::SubframeJob&, int) { drop_fired = true; });
   ex.record_compute_outage(0, make_job(3, 0.2, 0, sim::kMillisecond));
-  ASSERT_EQ(ex.outcomes().size(), 1u);
-  const auto& o = ex.outcomes()[0];
+  // HARQ accounting rides the completion callback; the drop callback
+  // stays reserved for fault-induced loss.
+  ASSERT_EQ(seen.outcomes.size(), 1u);
+  const auto& o = seen.outcomes[0];
   EXPECT_TRUE(o.compute_outage);
   EXPECT_FALSE(o.dropped);
   // An abandoned job never ran: it is neither a miss nor a drop.
   EXPECT_FALSE(o.missed_deadline());
-  // HARQ accounting rides the completion callback; the drop callback
-  // stays reserved for fault-induced loss.
-  EXPECT_EQ(completions, 1);
-  EXPECT_TRUE(saw_outage_flag);
   EXPECT_FALSE(drop_fired);
   EXPECT_EQ(ex.stats().compute_outages, 1u);
   EXPECT_EQ(ex.stats().completed, 0u);
@@ -272,6 +274,7 @@ TEST(Executor, DropCallbackOutageSeenOnceByCompletion) {
   // The completion callback must still see each outcome exactly once.
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0), one_core(100.0)}, SchedPolicy::kEdf);
+  ex.set_outcome_log(true);
   ex.set_drop_callback([&](const lte::SubframeJob& job, int) {
     ex.record_compute_outage(1, job);
   });
@@ -317,6 +320,62 @@ TEST(Executor, ComputeOutageExcludedFromUtilization) {
   EXPECT_DOUBLE_EQ(stats.compute_outage_ratio(), 0.5);
 }
 
+TEST(Executor, OutcomeLogIsOptIn) {
+  // A failure and a mix of completions, misses, drops and an outage, run
+  // twice: once with the log off (the default), once with it on.
+  struct Run {
+    std::vector<JobOutcome> seen;  ///< What the completion callback saw.
+    std::vector<JobOutcome> log;
+    Executor::Stats stats;
+  };
+  auto run = [](bool keep_log) {
+    Run r;
+    sim::Engine engine;
+    Executor ex(engine, {one_core(100.0), one_core(100.0)},
+                SchedPolicy::kEdf);
+    if (keep_log) ex.set_outcome_log(true);
+    ex.set_completion_callback(
+        [&r](const JobOutcome& o) { r.seen.push_back(o); });
+    for (int i = 0; i < 6; ++i) {
+      ex.submit(i % 2, make_job(i, 0.1 * (i + 1), i * sim::kMillisecond,
+                                (i + 3) * sim::kMillisecond));
+    }
+    engine.schedule_at(2 * sim::kMillisecond, [&] { ex.fail_server(1); });
+    ex.record_compute_outage(0, make_job(9, 1.0, 0, sim::kMillisecond));
+    engine.run();
+    r.log = ex.outcomes();
+    r.stats = ex.stats();
+    return r;
+  };
+
+  const Run off = run(false);
+  EXPECT_TRUE(off.log.empty());
+  // The tallies do not depend on the log.
+  EXPECT_EQ(off.stats.completed + off.stats.dropped +
+                off.stats.compute_outages,
+            off.seen.size());
+  EXPECT_EQ(off.stats.compute_outages, 1u);
+  EXPECT_GT(off.stats.dropped, 0u);
+  EXPECT_GT(off.stats.missed, 0u);
+  EXPECT_GT(off.stats.total_busy_seconds, 0.0);
+
+  const Run on = run(true);
+  // With the log on it holds every outcome in completion order: exactly
+  // what the completion callback saw.
+  ASSERT_EQ(on.log.size(), on.seen.size());
+  for (std::size_t i = 0; i < on.seen.size(); ++i) {
+    EXPECT_EQ(on.log[i].job.cell_id, on.seen[i].job.cell_id);
+    EXPECT_EQ(on.log[i].server_id, on.seen[i].server_id);
+    EXPECT_EQ(on.log[i].finish, on.seen[i].finish);
+    EXPECT_EQ(on.log[i].dropped, on.seen[i].dropped);
+    EXPECT_EQ(on.log[i].compute_outage, on.seen[i].compute_outage);
+  }
+  EXPECT_EQ(on.stats.completed, off.stats.completed);
+  EXPECT_EQ(on.stats.missed, off.stats.missed);
+  EXPECT_EQ(on.stats.dropped, off.stats.dropped);
+  EXPECT_DOUBLE_EQ(on.stats.total_busy_seconds, off.stats.total_busy_seconds);
+}
+
 TEST(Executor, ValidatesServerIds) {
   sim::Engine engine;
   Executor ex(engine, {one_core()}, SchedPolicy::kEdf);
@@ -329,10 +388,11 @@ TEST(Executor, ValidatesServerIds) {
 TEST(Executor, ZeroCostJobCompletesInstantly) {
   sim::Engine engine;
   Executor ex(engine, {one_core()}, SchedPolicy::kEdf);
+  OutcomeLog seen(ex);
   ex.submit(0, make_job(0, 0.0, sim::kMillisecond, 2 * sim::kMillisecond));
   engine.run();
   ASSERT_EQ(ex.stats().completed, 1u);
-  EXPECT_EQ(ex.outcomes()[0].finish, sim::kMillisecond);
+  EXPECT_EQ(seen.outcomes[0].finish, sim::kMillisecond);
 }
 
 TEST(ServerSpec, GopsPerTti) {

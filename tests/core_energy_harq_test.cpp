@@ -105,6 +105,7 @@ TEST(Harq, RetxJobsCarryShiftedTiming) {
   config.controller.headroom = 1.0;
   config.controller.demand_safety = 1.0;
   config.controller.shed_on_infeasible = true;
+  config.keep_outcome_log = true;
   Deployment d(config);
   d.run_for(1500 * sim::kMillisecond);
 

@@ -12,6 +12,7 @@
 #include "core/deployment.hpp"
 #include "faults/health.hpp"
 #include "faults/injector.hpp"
+#include "outcome_log.hpp"
 
 namespace pran {
 namespace {
@@ -121,6 +122,7 @@ TEST(FaultInjector, DegradeSlowsNewJobsOnly) {
   ev.degrade_factor = 0.5;
   ev.servers = {0};
   rig.injector.schedule(ev);
+  cluster::OutcomeLog seen(rig.executor);
 
   // 0.1 Gops on a 100 Gops/s core = 1 ms nominal, 2 ms at half speed.
   rig.executor.submit(0, job_with(0.1, 0, 5 * sim::kMillisecond, 0, 0));
@@ -130,7 +132,7 @@ TEST(FaultInjector, DegradeSlowsNewJobsOnly) {
                                   90 * sim::kMillisecond, 0, 2));
   rig.engine.run_until(100 * sim::kMillisecond);
 
-  const auto& outs = rig.executor.outcomes();
+  const auto& outs = seen.outcomes;
   ASSERT_EQ(outs.size(), 3u);
   EXPECT_EQ(outs[0].finish - outs[0].start, sim::kMillisecond);
   EXPECT_EQ(outs[1].finish - outs[1].start, 2 * sim::kMillisecond);
@@ -491,6 +493,7 @@ TEST(DeploymentFaults, DropResubmissionPreservesSubframes) {
   auto config = small_config();
   config.num_servers = 4;
   config.harq_retransmissions = true;
+  config.keep_outcome_log = true;
   Deployment d(config);
   d.run_for(200 * sim::kMillisecond);
   const int victim = d.controller().server_of(0);
@@ -525,6 +528,7 @@ TEST(DeploymentFaults, ExpiredDropsAreNotResubmitted) {
   auto config = small_config();
   config.num_servers = 4;
   config.harq_retransmissions = true;
+  config.keep_outcome_log = true;
   Deployment d(config);
   d.run_for(100 * sim::kMillisecond);
   const int victim = d.controller().server_of(0);

@@ -109,7 +109,9 @@ TEST(BranchAndBound, NodeLimitReportsBoundAndIncumbent) {
   Model m;
   LinearExpr weight, value;
   for (int i = 0; i < 12; ++i) {
-    const auto v = m.add_binary("v" + std::to_string(i));
+    std::string name = "v";
+    name += std::to_string(i);
+    const auto v = m.add_binary(name);
     weight += (3.0 + (i * 7) % 5) * LinearExpr(v);
     value += (4.0 + (i * 11) % 7) * LinearExpr(v);
   }

@@ -157,10 +157,13 @@ TEST_P(PresolveEquivalence, ObjectiveUnchanged) {
     // Mix of free binaries and pre-fixed ones.
     if (rng.bernoulli(0.3)) {
       const double v = rng.bernoulli(0.5) ? 1.0 : 0.0;
-      vars.push_back(m.add_variable("f" + std::to_string(i), v, v,
-                                    VarType::kContinuous));
+      std::string name = "f";
+      name += std::to_string(i);
+      vars.push_back(m.add_variable(name, v, v, VarType::kContinuous));
     } else {
-      vars.push_back(m.add_binary("b" + std::to_string(i)));
+      std::string name = "b";
+      name += std::to_string(i);
+      vars.push_back(m.add_binary(name));
     }
   }
   LinearExpr cap, obj;

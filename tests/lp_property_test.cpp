@@ -32,8 +32,11 @@ RandomBinaryInstance make_binary_instance(std::uint64_t seed, int n,
   RandomBinaryInstance inst;
   inst.n = n;
   std::vector<Variable> vars;
-  for (int j = 0; j < n; ++j)
-    vars.push_back(inst.model.add_binary("b" + std::to_string(j)));
+  for (int j = 0; j < n; ++j) {
+    std::string name = "b";
+    name += std::to_string(j);
+    vars.push_back(inst.model.add_binary(name));
+  }
 
   LinearExpr objective;
   for (int j = 0; j < n; ++j) {
@@ -55,7 +58,9 @@ RandomBinaryInstance make_binary_instance(std::uint64_t seed, int n,
     }
     const double b = rng.uniform(0.2, 0.8) * positive_sum;
     inst.rhs.push_back(b);
-    inst.model.add_constraint("r" + std::to_string(i), row <= b);
+    std::string name = "r";
+    name += std::to_string(i);
+    inst.model.add_constraint(name, row <= b);
   }
   return inst;
 }
@@ -116,7 +121,9 @@ TEST_P(SimplexDominance, BeatsRandomFeasiblePoints) {
   std::vector<double> ub;
   for (int j = 0; j < n; ++j) {
     ub.push_back(rng.uniform(1.0, 10.0));
-    vars.push_back(m.add_continuous("x" + std::to_string(j), 0.0, ub.back()));
+    std::string name = "x";
+    name += std::to_string(j);
+    vars.push_back(m.add_continuous(name, 0.0, ub.back()));
   }
   std::vector<std::vector<double>> rows;
   std::vector<double> rhs;
@@ -131,7 +138,9 @@ TEST_P(SimplexDominance, BeatsRandomFeasiblePoints) {
       row += a * LinearExpr(vars[j]);
     }
     rhs.push_back(rng.uniform(0.3, 0.9) * sum);
-    m.add_constraint("r" + std::to_string(i), row <= rhs.back());
+    std::string name = "r";
+    name += std::to_string(i);
+    m.add_constraint(name, row <= rhs.back());
   }
   LinearExpr objective;
   std::vector<double> c;

@@ -109,15 +109,20 @@ TEST(Simplex, HandlesDegenerateProblem) {
   Model m;
   std::vector<Variable> v;
   const int n = 6;
-  for (int i = 0; i < n; ++i)
-    v.push_back(m.add_continuous("x" + std::to_string(i), 0, kInfinity));
+  for (int i = 0; i < n; ++i) {
+    std::string name = "x";
+    name += std::to_string(i);
+    v.push_back(m.add_continuous(name, 0, kInfinity));
+  }
   LinearExpr obj;
   for (int i = 0; i < n; ++i) {
     LinearExpr row;
     for (int j = 0; j < i; ++j)
       row += std::pow(2.0, i - j + 1) * LinearExpr(v[j]);
     row += LinearExpr(v[i]);
-    m.add_constraint("c" + std::to_string(i), row <= std::pow(5.0, i + 1));
+    std::string name = "c";
+    name += std::to_string(i);
+    m.add_constraint(name, row <= std::pow(5.0, i + 1));
     obj += std::pow(2.0, n - 1 - i) * LinearExpr(v[i]);
   }
   m.set_objective(Sense::kMaximize, obj);

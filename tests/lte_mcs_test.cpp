@@ -84,6 +84,20 @@ TEST(McsFromCqi, IsMonotoneAndBounded) {
   EXPECT_EQ(mcs_from_cqi(15), 28);
 }
 
+TEST(McsFromCqi, LookupMatchesTableScan) {
+  // The lookup table must hold what scanning the MCS table gives: the
+  // highest MCS whose efficiency is within 1e-3 of the CQI's.
+  EXPECT_EQ(mcs_from_cqi(0), 0);
+  for (int q = 1; q <= 15; ++q) {
+    int best = 0;
+    for (const auto& entry : mcs_table())
+      if (entry.spectral_eff <= cqi(q).spectral_eff + 1e-3) best = entry.index;
+    EXPECT_EQ(mcs_from_cqi(q), best) << "CQI " << q;
+  }
+  EXPECT_THROW(mcs_from_cqi(-1), pran::ContractViolation);
+  EXPECT_THROW(mcs_from_cqi(16), pran::ContractViolation);
+}
+
 TEST(TransportBlock, ScalesWithPrbsAndMcs) {
   using units::PrbCount;
   EXPECT_EQ(transport_block_bits(0, PrbCount{0}).count(), 0);

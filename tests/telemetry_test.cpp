@@ -260,7 +260,11 @@ TEST(TelemetryGlobals, MacrosRecordIntoGlobalState) {
 TEST(TraceRework, CapacityCapDropsNewestAndCounts) {
   sim::Trace trace;
   trace.set_capacity(2);
-  for (int i = 0; i < 5; ++i) trace.emit(i, "cat", "m" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    std::string message = "m";
+    message += std::to_string(i);
+    trace.emit(i, "cat", message);
+  }
   EXPECT_EQ(trace.records().size(), 2u);
   EXPECT_EQ(trace.dropped(), 3u);
   EXPECT_EQ(trace.records()[0].message, "m0");
